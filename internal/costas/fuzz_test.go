@@ -17,11 +17,15 @@ package costas
 //     (the csp.ScanModel identity the engines' bit-identical adoption rests
 //     on), reports 0 for the no-op j == i, and leaves the counters as
 //     untouched as the scalar probe does;
-//   - ExecSwap keeps the incremental counters equal to a full rebuild.
+//   - ExecSwap keeps the incremental counters equal to a full rebuild;
+//   - VarCost(i), kept current across swaps, equals the brute-force
+//     varCostOf reference.
 //
 // The fuzz input is one seed (the random permutation) plus a script whose
 // first bytes pick the instance size and variant and whose tail is the
-// swap sequence. Seed corpus lives in testdata/fuzz/FuzzCostasCost.
+// swap sequence. Orders run 2..40, so both the one-word SWAR rows (n ≤ 32)
+// and the gather path (n ≥ 33) are reached. Seed corpus lives in
+// testdata/fuzz/FuzzCostasCost and in the f.Add calls below.
 
 import (
 	"testing"
@@ -35,8 +39,8 @@ import (
 var costasVariants = []Options{
 	{},
 	{FullTriangle: true},
-	{Err: ErrUnit},
-	{Err: ErrUnit, FullTriangle: true},
+	{Err: ErrQuadratic},
+	{Err: ErrQuadratic, FullTriangle: true},
 }
 
 // costasFullCost is ground truth: a fresh model bound to a copy of cfg.
@@ -51,11 +55,15 @@ func FuzzCostasCost(f *testing.F) {
 	f.Add(uint64(42), []byte{7, 1, 6, 5, 4, 3, 2, 1, 0})
 	f.Add(uint64(7), []byte{13, 2, 0, 12, 1, 11, 2, 10})
 	f.Add(uint64(99), []byte{4, 3, 1, 1, 2, 2, 3, 3, 0, 0})
+	// Orders 31, 32 (the widest one-word row) and 33 (the first gather row).
+	f.Add(uint64(31), []byte{29, 2, 0, 30, 5, 17, 12, 12, 3, 29, 8, 1})
+	f.Add(uint64(32), []byte{30, 1, 0, 31, 7, 16, 2, 30, 15, 16, 31, 0})
+	f.Add(uint64(33), []byte{31, 3, 0, 32, 16, 17, 4, 29, 32, 1, 9, 10})
 	f.Fuzz(func(t *testing.T, seed uint64, script []byte) {
 		if len(script) < 2 {
 			return
 		}
-		n := 2 + int(script[0])%12 // orders 2..13: every branch, still fast
+		n := 2 + int(script[0])%39 // orders 2..40
 		opts := costasVariants[int(script[1])%len(costasVariants)]
 		swaps := script[2:]
 		if len(swaps) > 128 { // bound the O(n²)-per-swap ground-truth work
@@ -78,8 +86,8 @@ func FuzzCostasCost(f *testing.F) {
 				t.Fatalf("%s: cost %d disagrees with IsCostas=%v (cfg %v)", stage, cost, IsCostas(cfg), cfg)
 			}
 			for i := 0; i < n; i++ {
-				if v := m.VarCost(i); v < 0 {
-					t.Fatalf("%s: negative VarCost(%d) = %d", stage, i, v)
+				if v, want := m.VarCost(i), m.varCostOf(cfg, i); v != want {
+					t.Fatalf("%s: VarCost(%d) = %d, reference %d (cfg %v)", stage, i, v, want, cfg)
 				} else if cost == 0 && v != 0 {
 					t.Fatalf("%s: solved configuration blames variable %d with %d", stage, i, v)
 				}

@@ -87,7 +87,15 @@ type Model struct {
 	rowBase []int
 	cost    int
 
+	// varCost[v] is VarCost(v). It and pairX go stale at Bind and are
+	// rebuilt by the first VarCost read after it; from then on CommitSwap
+	// keeps both exact. pairX has the counters' layout: pairX[rowBase[d] +
+	// v + n − 1] is the XOR of the start positions of row d's pairs that
+	// hold difference v, so when a count crosses 1↔2 it names the lone
+	// partner pair whose blame changes. Engines that never read VarCost
+	// leave them stale and pay no upkeep.
 	varCost  []int
+	pairX    []int32
 	varDirty bool
 
 	genericReset bool
@@ -118,8 +126,8 @@ type Model struct {
 	// Maintenance is row-granular and lazy: Bind just bumps planeEpoch
 	// (invalidating every row at O(1) cost), the scan rebuilds a stale
 	// row from its counters the first time it sweeps it, and CommitSwap
-	// re-canonicalizes the touched value bits in place — but ONLY for
-	// rows that are currently valid. planeValid counts valid rows so the
+	// flips the one bit each counter step changes — but ONLY for rows
+	// that are currently valid. planeValid counts valid rows so the
 	// commit path skips even the per-row staleness compares while no scan
 	// has run since the last rebind: engines that never scan (pure
 	// SwapDelta/ExecSwap users) pay a single integer test per commit.
@@ -175,9 +183,11 @@ func New(n int, opts Options) *Model {
 	m.resetKs = resetConstantsInto(carve(4)[:0], n)
 	m.seenReset = carve((depth + 1) * width)
 	m.planeGen = carve(depth + 1)
-	lanes := make([]int32, depth*width+sb)
-	m.cnt = lanes[: depth*width : depth*width]
-	m.scanAcc = lanes[depth*width:]
+	cells := depth * width
+	lanes := make([]int32, 2*cells+sb)
+	m.cnt = lanes[:cells:cells]
+	m.pairX = lanes[cells : 2*cells : 2*cells]
+	m.scanAcc = lanes[2*cells:]
 	if width <= 64 {
 		m.planes = make([]uint64, 3*depth)
 	}
@@ -213,8 +223,8 @@ func ChangDepth(n int) int {
 // Size implements csp.Model.
 func (m *Model) Size() int { return m.n }
 
-// Bind implements csp.Model: full O(n·depth) rebuild of counters, cost and
-// per-variable errors.
+// Bind implements csp.Model: full O(n·depth) rebuild of counters and cost;
+// per-variable errors wait for the next VarCost read.
 func (m *Model) Bind(cfg []int) {
 	if len(cfg) != m.n {
 		panic(fmt.Sprintf("costas: Bind with configuration of length %d, want %d", len(cfg), m.n))
@@ -252,7 +262,8 @@ func (m *Model) Cost() int { return m.cost }
 // every conflicting pair is what the reference implementation does and it
 // matters: charging only the "later" pair concentrates the culprit choice
 // on a single variable and lets the search oscillate through it forever.
-// Errors are recomputed lazily after each committed move.
+// The first read after Bind rebuilds all errors in O(n·depth); CommitSwap
+// keeps them current from then on.
 func (m *Model) VarCost(i int) int {
 	if m.varDirty {
 		m.recomputeVarCosts()
@@ -261,16 +272,17 @@ func (m *Model) VarCost(i int) int {
 }
 
 func (m *Model) recomputeVarCosts() {
-	for i := range m.varCost {
-		m.varCost[i] = 0
-	}
+	clear(m.varCost)
+	clear(m.pairX)
 	// The row counters are maintained incrementally, so one pass over the
 	// triangle suffices: a pair is conflicting iff its value's count ≥ 2.
 	off := m.n - 1
 	for d := 1; d <= m.depth; d++ {
 		row := m.cnt[m.rowBase[d]:]
+		px := m.pairX[m.rowBase[d]:]
 		for i := 0; i+d < m.n; i++ {
 			v := m.cfg[i+d] - m.cfg[i] + off
+			px[v] ^= int32(i)
 			if row[v] >= 2 {
 				m.varCost[i] += m.w[d]
 				m.varCost[i+d] += m.w[d]
@@ -467,143 +479,115 @@ func slowRowDelta(row []int32, po, pn *[4]int, np int) int {
 // This is the ONLY write path over the counters on the solve loop; it
 // re-enumerates the changed pairs but skips all cost accounting.
 func (m *Model) CommitSwap(i, j, delta int) {
-	if i == j {
-		return
-	}
 	if j < i {
 		i, j = j, i
 	}
 	cfg := m.cfg
 	n := m.n
 	vi, vj := cfg[i], cfg[j]
-	off := n - 1
-	cnt := m.cnt
-	width := 2*n - 1
-	// Keep a row's bit planes in sync ONLY while it is currently valid;
-	// stale rows (no scan since the last rebind) are rebuilt wholesale by
-	// the next sweep. The two loop bodies below differ only in the plane
-	// upkeep: planeValid == 0 — the never-scanned case — takes the first,
-	// plane-free loop, so engines that only probe and commit pay exactly
-	// the pre-cache write path plus this one test.
-	if m.planeValid == 0 {
-		base := 0
-		for d := 1; d <= m.depth; d, base = d+1, base+width {
-			row := cnt[base : base+width]
-			if a := i - d; a >= 0 {
-				ov, nv := vi-cfg[a], vj-cfg[a]
-				if ov != nv {
-					row[ov+off]--
-					row[nv+off]++
-				}
-			}
-			if b := i + d; b < n {
-				ov, nv := cfg[b]-vi, cfg[b]-vj
-				if b == j {
-					nv = vi - vj
-				}
-				if ov != nv {
-					row[ov+off]--
-					row[nv+off]++
-				}
-			}
-			if a := j - d; a >= 0 && a != i {
-				ov, nv := vj-cfg[a], vi-cfg[a]
-				if ov != nv {
-					row[ov+off]--
-					row[nv+off]++
-				}
-			}
-			if b := j + d; b < n {
-				ov, nv := cfg[b]-vj, cfg[b]-vi
-				if ov != nv {
-					row[ov+off]--
-					row[nv+off]++
-				}
+	if vi == vj { // i == j: nothing moves
+		return
+	}
+	off, width := n-1, 2*n-1
+	cnt, depth := m.cnt, m.depth
+	planesValid, blame := m.planeValid > 0, !m.varDirty
+	for d, base := 1, 0; d <= depth; d, base = d+1, base+width {
+		// Keep a row's bit planes in sync ONLY while it is currently
+		// valid; stale rows (no scan since the last rebind) are rebuilt
+		// wholesale by the next sweep. planeValid == 0 — the never-scanned
+		// case — skips even the per-row staleness compare. With stale
+		// planes and stale errors the counter writes are all a move costs.
+		fixP := planesValid && m.planeGen[d] == m.planeEpoch
+		upkeep := fixP || blame
+		row := cnt[base : base+width]
+		// The ≤ 4 pairs of row d whose difference changes, each moved as
+		// one exact transition of the row's multiset (vi ≠ vj, so no pair
+		// keeps its value).
+		if a := i - d; a >= 0 {
+			ov, nv := vi-cfg[a]+off, vj-cfg[a]+off
+			co, cn := row[ov], row[nv]
+			row[ov], row[nv] = co-1, cn+1
+			if upkeep {
+				m.pairMoved(d, a, ov, nv, co, cn, fixP)
 			}
 		}
-	} else {
-		base := 0
-		for d := 1; d <= m.depth; d, base = d+1, base+width {
-			row := cnt[base : base+width]
-			fixP := m.planeGen[d] == m.planeEpoch
-			if a := i - d; a >= 0 {
-				ov, nv := vi-cfg[a], vj-cfg[a]
-				if ov != nv {
-					row[ov+off]--
-					row[nv+off]++
-					if fixP {
-						m.planeFix(d, ov+off)
-						m.planeFix(d, nv+off)
-					}
-				}
+		if b := i + d; b < n {
+			ov, nv := cfg[b]-vi+off, cfg[b]-vj+off
+			if b == j {
+				nv = vi - vj + off // the (i, j) pair itself reverses sign
 			}
-			if b := i + d; b < n {
-				ov, nv := cfg[b]-vi, cfg[b]-vj
-				if b == j {
-					nv = vi - vj
-				}
-				if ov != nv {
-					row[ov+off]--
-					row[nv+off]++
-					if fixP {
-						m.planeFix(d, ov+off)
-						m.planeFix(d, nv+off)
-					}
-				}
+			co, cn := row[ov], row[nv]
+			row[ov], row[nv] = co-1, cn+1
+			if upkeep {
+				m.pairMoved(d, i, ov, nv, co, cn, fixP)
 			}
-			if a := j - d; a >= 0 && a != i {
-				ov, nv := vj-cfg[a], vi-cfg[a]
-				if ov != nv {
-					row[ov+off]--
-					row[nv+off]++
-					if fixP {
-						m.planeFix(d, ov+off)
-						m.planeFix(d, nv+off)
-					}
-				}
+		}
+		if a := j - d; a >= 0 && a != i {
+			ov, nv := vj-cfg[a]+off, vi-cfg[a]+off
+			co, cn := row[ov], row[nv]
+			row[ov], row[nv] = co-1, cn+1
+			if upkeep {
+				m.pairMoved(d, a, ov, nv, co, cn, fixP)
 			}
-			if b := j + d; b < n {
-				ov, nv := cfg[b]-vj, cfg[b]-vi
-				if ov != nv {
-					row[ov+off]--
-					row[nv+off]++
-					if fixP {
-						m.planeFix(d, ov+off)
-						m.planeFix(d, nv+off)
-					}
-				}
+		}
+		if b := j + d; b < n {
+			ov, nv := cfg[b]-vj+off, cfg[b]-vi+off
+			co, cn := row[ov], row[nv]
+			row[ov], row[nv] = co-1, cn+1
+			if upkeep {
+				m.pairMoved(d, j, ov, nv, co, cn, fixP)
 			}
 		}
 	}
 	cfg[i], cfg[j] = vj, vi
 	m.cost += delta
-	m.varDirty = true
 }
 
-// planeFix canonicalizes value index v's three plane bits in row d from the
-// current counter. It is idempotent and order-free — it derives the bits
-// from the count rather than transitioning them — so CommitSwap may call it
-// after each counter write of a row without tracking which pair touched a
-// value last.
-func (m *Model) planeFix(d, v int) {
-	po := 3 * (d - 1)
-	c := m.cnt[m.rowBase[d]+v]
-	bit := uint64(1) << uint(v&63)
-	if c >= 1 {
-		m.planes[po] |= bit
-	} else {
-		m.planes[po] &^= bit
+// pairMoved brings the row's bit planes (when fixP) and, when current,
+// pairX and the per-variable errors up to date after CommitSwap moved the
+// pair (p, p+d) of row d from value index ov (count co before) to nv
+// (count cn before).
+func (m *Model) pairMoved(d, p, ov, nv int, co, cn int32, fixP bool) {
+	if fixP {
+		// Plane k holds count ≥ k+1: a decrement from c clears plane c−1,
+		// an increment from c sets plane c (planes 0–2 only).
+		po := 3 * (d - 1)
+		if co <= 3 {
+			m.planes[po+int(co)-1] &^= 1 << uint(ov&63)
+		}
+		if cn <= 2 {
+			m.planes[po+int(cn)] |= 1 << uint(nv&63)
+		}
 	}
-	if c >= 2 {
-		m.planes[po+1] |= bit
-	} else {
-		m.planes[po+1] &^= bit
+	if m.varDirty {
+		return
 	}
-	if c >= 3 {
-		m.planes[po+2] |= bit
-	} else {
-		m.planes[po+2] &^= bit
+	// A pair is blamed (ERR(d) on both endpoints) iff its value's count is
+	// ≥ 2. Leaving a count-2 value unblames the lone partner left behind;
+	// joining a count-1 value blames the lone pair already there.
+	w := m.w[d]
+	px := m.pairX[m.rowBase[d]:]
+	px[ov] ^= int32(p)
+	self := 0
+	if co >= 2 {
+		self -= w
+		if co == 2 {
+			q := int(px[ov])
+			m.varCost[q] -= w
+			m.varCost[q+d] -= w
+		}
 	}
+	if cn >= 1 {
+		self += w
+		if cn == 1 {
+			q := int(px[nv])
+			m.varCost[q] += w
+			m.varCost[q+d] += w
+		}
+	}
+	px[nv] ^= int32(p)
+	m.varCost[p] += self
+	m.varCost[p+d] += self
 }
 
 // planeRebuildRow recomputes row d's planes from its counters and marks the
@@ -634,7 +618,9 @@ func (m *Model) planeRebuildRow(d int) {
 
 // scanCost computes the global cost of an arbitrary configuration without
 // touching the model's incremental state — used to evaluate the candidate
-// perturbations generated by Reset. O(n·depth).
+// perturbations generated by Reset. O(n·depth). Once the partial cost
+// exceeds bound it returns early with that partial cost: any return value
+// above bound means "more than bound", which is all Reset needs to know.
 //
 // When a row of the difference triangle fits one machine word (n ≤ 32, the
 // same condition that enables the bit-plane scan cache) it uses the scan
@@ -642,12 +628,12 @@ func (m *Model) planeRebuildRow(d int) {
 // row costs one OR-accumulated presence mask and a single popcount instead
 // of per-pair seen-mark bookkeeping. Wider instances keep the generation-
 // tagged seen array.
-func (m *Model) scanCost(cfg []int) int {
+func (m *Model) scanCost(cfg []int, bound int) int {
+	n := m.n
+	off := n - 1
+	cost := 0
 	if m.planes != nil {
-		n := m.n
-		off := n - 1
-		cost := 0
-		for d := 1; d <= m.depth; d++ {
+		for d := 1; d <= m.depth && cost <= bound; d++ {
 			var mask uint64
 			for i, e := 0, n-d; i < e; i++ {
 				mask |= uint64(1) << uint((cfg[i+d]-cfg[i]+off)&63)
@@ -658,13 +644,11 @@ func (m *Model) scanCost(cfg []int) int {
 	}
 	m.seenGen++
 	gen := m.seenGen
-	width := 2*m.n - 1
-	cost := 0
-	for d := 1; d <= m.depth; d++ {
+	width := 2*n - 1
+	for d := 1; d <= m.depth && cost <= bound; d++ {
 		base := (d - 1) * width
-		for i := 0; i+d < m.n; i++ {
-			v := cfg[i+d] - cfg[i] + m.n - 1
-			slot := base + v
+		for i := 0; i+d < n; i++ {
+			slot := base + cfg[i+d] - cfg[i] + off
 			if m.seenReset[slot] == gen {
 				cost += m.w[d]
 			} else {
@@ -706,7 +690,7 @@ func (m *Model) Reset(cfg []int, r *rng.RNG) int {
 	if m.genericReset {
 		return m.genericResetProc(cfg, r)
 	}
-	entry := m.scanCost(cfg)
+	entry := m.cost                // cfg is the bound configuration
 	bestCost := int(^uint(0) >> 1) // MaxInt
 	copy(m.best, cfg)              // safety net for degenerate sizes with no candidates
 	n := m.n
@@ -718,8 +702,10 @@ func (m *Model) Reset(cfg []int, r *rng.RNG) int {
 	// mutually-best perturbations at equal cost, never escaping the basin.
 	improved := false
 	bestTies := 0
+	// A candidate costing more than both bestCost and entry−1 can neither
+	// tie, beat the best nor improve, so its scan may stop there.
 	try := func() bool {
-		c := m.scanCost(m.cand)
+		c := m.scanCost(m.cand, max(bestCost, entry-1))
 		switch {
 		case c < bestCost:
 			bestCost = c

@@ -142,6 +142,108 @@ func TestVarCostMatchesReference(t *testing.T) {
 	}
 }
 
+// TestIncrementalStateProperty drives random interleavings of every
+// state-changing call — ExecSwap, CommitSwap, VarCost reads, ScanSwaps,
+// Bind and Reset — across orders on both sides of the one-word row limit
+// (n = 32 has planes, n = 33 does not) and every error/depth variant, and
+// after each step checks the incrementally kept state against fresh
+// recomputation: the cost, the per-variable errors and pairX whenever they
+// are current, and every bit-plane row that is marked valid.
+func TestIncrementalStateProperty(t *testing.T) {
+	for _, n := range []int{13, 16, 32, 33} {
+		for _, opts := range []Options{
+			{}, {Err: ErrQuadratic}, {FullTriangle: true}, {Err: ErrQuadratic, FullTriangle: true},
+		} {
+			m, cfg, r := newBound(n, opts, uint64(1000+n))
+			deltas := make([]int, n)
+			px := make([]int32, len(m.pairX))
+			check := func(step int, op string) {
+				t.Helper()
+				if want := naiveCost(cfg, m.depth, m.w); m.Cost() != want {
+					t.Fatalf("n=%d opts=%+v step %d (%s): cost %d, naive %d", n, opts, step, op, m.Cost(), want)
+				}
+				// Read the cached errors directly: VarCost would rebuild
+				// stale ones and hide a missed update.
+				if !m.varDirty {
+					clear(px)
+					for d := 1; d <= m.depth; d++ {
+						for i := 0; i+d < n; i++ {
+							px[m.rowBase[d]+cfg[i+d]-cfg[i]+n-1] ^= int32(i)
+						}
+					}
+					for v := 0; v < n; v++ {
+						if want := m.varCostOf(cfg, v); m.varCost[v] != want {
+							t.Fatalf("n=%d opts=%+v step %d (%s): varCost[%d] = %d, reference %d",
+								n, opts, step, op, v, m.varCost[v], want)
+						}
+					}
+					for k := range px {
+						if m.pairX[k] != px[k] {
+							t.Fatalf("n=%d opts=%+v step %d (%s): pairX[%d] = %d, fresh %d",
+								n, opts, step, op, k, m.pairX[k], px[k])
+						}
+					}
+				}
+				valid := 0
+				for d := 1; d <= m.depth && m.planes != nil; d++ {
+					if m.planeGen[d] != m.planeEpoch {
+						continue
+					}
+					valid++
+					po := 3 * (d - 1)
+					kept := [3]uint64(m.planes[po : po+3])
+					m.planeRebuildRow(d)
+					if fresh := [3]uint64(m.planes[po : po+3]); kept != fresh {
+						t.Fatalf("n=%d opts=%+v step %d (%s): row %d planes %x, fresh %x",
+							n, opts, step, op, d, kept, fresh)
+					}
+				}
+				if valid != m.planeValid {
+					t.Fatalf("n=%d opts=%+v step %d (%s): %d valid rows, planeValid %d",
+						n, opts, step, op, valid, m.planeValid)
+				}
+			}
+			for step := 0; step < 400; step++ {
+				i, j := r.Intn(n), r.Intn(n)
+				var op string
+				switch k := r.Intn(20); {
+				case k < 6:
+					op = "ExecSwap"
+					m.ExecSwap(i, j)
+				case k < 12:
+					op = "CommitSwap"
+					m.CommitSwap(i, j, m.SwapDelta(i, j))
+				case k < 15:
+					op = "VarCost"
+					for v := 0; v < n; v++ {
+						if got, want := m.VarCost(v), m.varCostOf(cfg, v); got != want {
+							t.Fatalf("n=%d opts=%+v step %d: VarCost(%d) = %d, reference %d", n, opts, step, v, got, want)
+						}
+					}
+				case k < 18:
+					op = "ScanSwaps"
+					m.ScanSwaps(i, deltas)
+					for c := 0; c < n; c++ {
+						if want := m.SwapDelta(i, c); deltas[c] != want {
+							t.Fatalf("n=%d opts=%+v step %d: ScanSwaps(%d)[%d] = %d, SwapDelta %d", n, opts, step, i, c, deltas[c], want)
+						}
+					}
+				case k < 19:
+					op = "Bind"
+					r.PermInto(cfg)
+					m.Bind(cfg)
+				default:
+					op = "Reset"
+					if got := m.Reset(cfg, r); got != m.Cost() {
+						t.Fatalf("n=%d opts=%+v step %d: Reset returned %d, model cost %d", n, opts, step, got, m.Cost())
+					}
+				}
+				check(step, op)
+			}
+		}
+	}
+}
+
 func TestVarCostsConsistentWithCost(t *testing.T) {
 	// All occurrences of a duplicated value are blamed, so Σ VarCost
 	// strictly dominates 2 × Cost on violated configurations, and both hit

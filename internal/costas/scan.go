@@ -35,8 +35,8 @@ package costas
 // (#values that appear). Vanish/appear are computed with word-parallel bit
 // algebra against the model's bit-plane cache (count ≥ 1/2/3 presence
 // words per row; Bind invalidates all rows at O(1), the sweep rebuilds a
-// stale row on first touch, CommitSwap re-canonicalizes bits in place for
-// valid rows only — see model.go): the four changed pairs
+// stale row on first touch, CommitSwap flips the bit each counter step
+// changes in valid rows only — see model.go): the four changed pairs
 // contribute one removal word held as a 2-entry carry-save counter
 // (Rlo/Rhi, seeded with the row-constant A/B removals) and one addition
 // mask A. `appear = A &^ B1` is exact regardless of how many pairs add the
@@ -68,11 +68,11 @@ package costas
 // (i, j) is itself a pair of the row and reverses sign instead of splitting
 // into separate i-side and j-side changes); each row handles its two
 // special candidates out of line. The gather sweep skips them; the SWAR
-// sweep lets its branch-free loops run over them and the special handler
-// SUBTRACTS the formula-identical garbage contribution afterwards
-// (swarGarbage), which keeps the hot loops free of per-iteration index
-// compares. j = i needs no exclusion at all: every changed pair rejoins
-// the value it left, so the generic formula contributes exactly zero.
+// sweep lets its branch-free loops run over them, with their two
+// accumulator slots saved before the sweep and restored after it, which
+// keeps the hot loops free of per-iteration index compares. j = i needs no
+// exclusion at all: every changed pair rejoins the value it left, so the
+// generic formula contributes exactly zero.
 //
 // Blocking. The candidate range is chunked into ScanBlock-sized blocks
 // (Options.ScanBlock; DefaultScanBlock was picked by the perfbench block
@@ -203,8 +203,7 @@ func (m *Model) scanBlockInto(i, lo, hi int, deltas []int) {
 		// row-constant removal pair seeds the 2-bit carry-save counter,
 		// which makes the merged ovA == ovB case (both bits collapse into
 		// the multiplicity-2 word) exact for free.
-		swar := m.planes != nil
-		if swar {
+		if m.planes != nil {
 			if m.planeGen[d] != m.planeEpoch {
 				m.planeRebuildRow(d)
 			}
@@ -230,10 +229,24 @@ func (m *Model) scanBlockInto(i, lo, hi int, deltas []int) {
 				rc.yB2 = -(1 << 30)
 			}
 			// One run covers the whole block: the three C/D-presence
-			// regions are inline sub-loops and the special candidates'
-			// garbage contribution is subtracted right back out by
-			// special, so there is nothing left to split around.
+			// regions are inline sub-loops, and the special candidates'
+			// slots are restored after it, so there is nothing left to
+			// split around.
+			low, high := uint(i-d-lo), uint(i+d-lo)
+			var keepLow, keepHigh int32
+			if low < uint(len(acc)) {
+				keepLow = acc[low]
+			}
+			if high < uint(len(acc)) {
+				keepHigh = acc[high]
+			}
 			rc.runSwar(lo, hi)
+			if low < uint(len(acc)) {
+				acc[low] = keepLow
+			}
+			if high < uint(len(acc)) {
+				acc[high] = keepHigh
+			}
 		} else {
 			b1, b2 := d, n-d
 			midC, midD := true, true
@@ -250,10 +263,10 @@ func (m *Model) scanBlockInto(i, lo, hi int, deltas []int) {
 		// sign (old v, new −v) instead of splitting into i-side and
 		// j-side changes.
 		if j := i - d; j >= lo && j < hi {
-			rc.special(j, cfg[j]-vi+off, true, swar)
+			rc.special(j, cfg[j]-vi+off, true)
 		}
 		if j := i + d; j >= lo && j < hi {
-			rc.special(j, vi-cfg[j]+off, false, swar)
+			rc.special(j, vi-cfg[j]+off, false)
 		}
 	}
 
@@ -361,8 +374,8 @@ func (rc *scanRowConst) runSplit(i, a, b int, hasC, hasD bool) {
 // FullTriangle row with d > n−d has NEITHER in its middle region), so the
 // hot loops carry no presence masks and no per-region call prologues. The
 // special candidates i ± d are NOT excluded: their (meaningless) generic
-// contribution is computed like any other candidate's and subtracted right
-// back out by special via swarGarbage; j = i contributes exactly zero by
+// contribution is computed like any other candidate's and discarded when
+// scanBlockInto restores their slots; j = i contributes exactly zero by
 // construction (every pair rejoins the value it left), so only the rare
 // overflow branch guards against it. No counter gathers at all: the three
 // cfg loads are the only memory reads per candidate.
@@ -490,49 +503,6 @@ func (rc *scanRowConst) runSwar(a, b int) {
 	}
 }
 
-// swarGarbage recomputes, for ONE candidate j, exactly what the runSwar
-// sweep accumulated for it — generic contribution or overflow merge — so
-// special can subtract it before adding the candidate's true (sign-
-// reversing) row delta. Kept formula-for-formula in sync with the sweep
-// bodies; the exhaustive ScanSwaps ≡ SwapDelta identity suites would catch
-// any drift.
-func (rc *scanRowConst) swarGarbage(j int) int32 {
-	cfg := rc.cfg
-	d, off, vi := rc.d, rc.off, rc.vi
-	vj := cfg[j]
-	u, t := vj, vj
-	bC, bD := uint64(0), uint64(0)
-	hasC, hasD := j >= d, j+d < len(cfg)
-	if hasC {
-		u = cfg[j-d]
-		bC = uint64(1) << uint((vj-u+off)&63)
-	}
-	if hasD {
-		t = cfg[j+d]
-		bD = uint64(1) << uint((t-vj+off)&63)
-	}
-	ovf := rc.rKhi & bC
-	carry := rc.rKlo & bC
-	Rlo := rc.rKlo ^ bC
-	Rhi := rc.rKhi | carry
-	ovf |= Rhi & bD
-	carry = Rlo & bD
-	Rlo ^= bD
-	Rhi |= carry
-	if ovf != 0 {
-		return rc.fixVal(j, vj, u, t, hasC, hasD)
-	}
-	A := uint64(1)<<uint(vj-rc.xA2) | uint64(1)<<uint(rc.yB2-vj)
-	if hasC {
-		A |= uint64(1) << uint((vi-u+off)&63)
-	}
-	if hasD {
-		A |= uint64(1) << uint((t-vi+off)&63)
-	}
-	van := (Rlo&rc.c1 | Rhi&rc.c2) &^ A
-	return rc.wd * int32(bits.OnesCount64(van)-bits.OnesCount64(A&rc.nB1))
-}
-
 // runGather is the counter-gather inner sweep over candidates [a, b), with
 // pair C/D presence constant over the run — the fallback path for width >
 // 64 models, which cannot pack a row into one plane word. Per candidate:
@@ -618,11 +588,7 @@ func (rc *scanRowConst) fixVal(j, vj, u, t int, hasC, hasD bool) int32 {
 // pair OF this row, so its difference reverses sign (nvRev) and the j-side
 // pair that would coincide with it is skipped. Collisions are detected with
 // the same mask discipline and resolved by the same exact per-value merge.
-// When the row swept via runSwar, the sweep already accumulated a generic
-// (and meaningless) contribution for this candidate — swarGarbage recomputes
-// it and it is subtracted here, which keeps the hot loops free of special-
-// candidate checks.
-func (rc *scanRowConst) special(j, nvRev int, low, swar bool) {
+func (rc *scanRowConst) special(j, nvRev int, low bool) {
 	row, cfg := rc.row, rc.cfg
 	vi, off, d := rc.vi, rc.off, rc.d
 	vj := cfg[j]
@@ -679,9 +645,6 @@ func (rc *scanRowConst) special(j, nvRev int, low, swar bool) {
 	exact := rc.wd * contrib
 	if bits.OnesCount64(mask) != expected {
 		exact = rc.wd * int32(slowRowDelta(row, &po, &pn, np))
-	}
-	if swar {
-		exact -= rc.swarGarbage(j)
 	}
 	rc.acc[j-rc.lo] += exact
 }

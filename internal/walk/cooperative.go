@@ -250,7 +250,7 @@ func (p *coopPolicy) boundary(i int, e csp.Engine) bool {
 // intercept their trajectory), so factories should disable their internal
 // restart policies to hand control to the scheduler.
 //
-// The lockstep rounds are sharded across MaxParallelism workers while the
+// The lockstep rounds are stepped by MaxParallelism workers while the
 // pool communication runs between rounds in walker order, so results are
 // deterministic for a given master seed whatever the worker count.
 // Cancelling ctx stops the run at the next round boundary with a partial

@@ -215,7 +215,7 @@ func TestCooperativeOffersCountActualOffersOnly(t *testing.T) {
 }
 
 func TestCooperativeDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The multi-threaded lockstep mode shards engine quanta across workers
+	// The multi-threaded lockstep mode hands engine quanta to workers
 	// but serialises pool communication in walker order between rounds, so
 	// the full outcome — winner, makespan, pool counters — must not depend
 	// on MaxParallelism.

@@ -21,9 +21,9 @@ package walk
 // filled in) rather than an error — the caller can inspect how far each
 // walker got.
 //
-// Determinism: in lockstep mode the engine quanta are sharded across a
-// worker pool (each engine is private to one worker per round, and rounds
-// are separated by a barrier), while policy boundary hooks run
+// Determinism: in lockstep mode the engine quanta are claimed dynamically
+// by a worker pool (each engine is stepped by exactly one worker per round,
+// and rounds are separated by a barrier), while policy boundary hooks run
 // sequentially in walker order between rounds. Per-walker trajectories
 // and all pool communication are therefore identical whatever
 // MaxParallelism is — multi-threaded lockstep runs reproduce the
@@ -202,23 +202,29 @@ func runReal(ctx context.Context, engines []csp.Engine, s schedule) int {
 }
 
 // runLockstep executes the schedule in barrier-synchronised virtual time.
-// Each round advances every live walker one quantum (sharded across the
-// worker pool), then runs the policy boundary hooks sequentially in
-// walker order — so lockstep runs are deterministic for any worker count.
+// Each round advances every live walker one quantum (each worker claims
+// the next unclaimed walker until none is left), then runs the policy
+// boundary hooks sequentially in walker order — so lockstep runs are
+// deterministic for any worker count.
 func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 	var (
 		anySolved   atomic.Bool
+		next        atomic.Int64 // the round's next unclaimed walker
 		virtualTime int64
 		wg          sync.WaitGroup
 	)
 	// stepped[i] marks walkers that advanced this round without solving —
 	// the ones whose quantum boundary the policy sees. Each index is
-	// written only by the worker owning walker i and read after the
-	// barrier.
+	// written only by the worker that claimed walker i this round and
+	// read after the barrier.
 	stepped := make([]bool, len(engines))
 
-	shard := func(w int) {
-		for i := w; i < len(engines); i += s.workers {
+	claimAndStep := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(engines) {
+				return
+			}
 			e := engines[i]
 			stepped[i] = false
 			if e.Solved() || e.Exhausted() {
@@ -244,7 +250,7 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 	// Persistent worker pool: spawned once and woken each round, so a
 	// round costs one channel send per worker rather than a goroutine
 	// spawn (runs at quantum 64 execute thousands of rounds). A single
-	// worker runs its shard inline with no pool at all.
+	// worker steps every walker inline with no pool at all.
 	var wake []chan struct{}
 	if s.workers > 1 {
 		wake = make([]chan struct{}, s.workers)
@@ -252,7 +258,7 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 			wake[w] = make(chan struct{})
 			go func(w int) {
 				for range wake[w] {
-					shard(w)
+					claimAndStep()
 					wg.Done()
 				}
 			}(w)
@@ -270,6 +276,7 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 		}
 
 		// Parallel phase: one quantum for every live walker.
+		next.Store(0)
 		if s.workers > 1 {
 			wg.Add(s.workers)
 			for _, c := range wake {
@@ -277,7 +284,7 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 			}
 			wg.Wait()
 		} else {
-			shard(0)
+			claimAndStep()
 		}
 
 		// Sequential phase: boundary hooks in walker order.

@@ -2,6 +2,7 @@ package walk
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -324,20 +325,69 @@ func TestVirtualDeadlineStopsMidRun(t *testing.T) {
 	}
 }
 
+// rotating is a deterministic racing allocator that moves every walker to
+// the next arm at each window, so each boundary rebuilds every engine.
+type rotating struct {
+	walkers, arms int
+	window        int64
+}
+
+func (r rotating) Window(int) int64         { return r.window }
+func (r rotating) Observe(int, []WalkerObs) {}
+func (r rotating) Assign(w int) []int {
+	assign := make([]int, r.walkers)
+	for i := range assign {
+		assign[i] = (i + w) % r.arms
+	}
+	return assign
+}
+
+// TestVirtualDeterministicAcrossWorkerCounts: the lockstep scheduler hands
+// each walker's quantum to whichever worker claims it, but keeps the round
+// barrier and runs boundary hooks in walker order, so the whole outcome —
+// winner, makespan, solution and every walker's counters — must not depend
+// on MaxParallelism, for independent, cooperative and racing (window-capped)
+// runs alike.
 func TestVirtualDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The lockstep scheduler shards quanta across workers but keeps the
-	// round barrier, so the winner and makespan must not depend on
-	// MaxParallelism.
-	base := capConfig(13, 16, 77)
-	base.MaxParallelism = 1
-	r1 := Virtual(context.Background(), capFactory(13), base, 0)
-	for _, workers := range []int{2, 5, 16} {
-		cfg := capConfig(13, 16, 77)
-		cfg.MaxParallelism = workers
-		r := Virtual(context.Background(), capFactory(13), cfg, 0)
-		if r.Winner != r1.Winner || r.WinnerIterations != r1.WinnerIterations {
-			t.Fatalf("workers=%d diverges: (%d,%d) vs (%d,%d)",
-				workers, r.Winner, r.WinnerIterations, r1.Winner, r1.WinnerIterations)
-		}
+	// A short quantum makes every run span many rounds.
+	const n, quantum = 13, 8
+	runs := map[string]func(workers int) CoopResult{
+		"independent": func(workers int) CoopResult {
+			cfg := capConfig(n, 16, 77)
+			cfg.MaxParallelism, cfg.CheckEvery = workers, quantum
+			return CoopResult{Result: Virtual(context.Background(), capFactory(n), cfg, 0)}
+		},
+		"cooperative": func(workers int) CoopResult {
+			cfg := coopConfig(n, 8, 17)
+			cfg.MaxParallelism, cfg.CheckEvery = workers, quantum
+			cfg.RestartEvery = 4 * quantum // pool restarts in most rounds
+			return Cooperative(context.Background(), capFactory(n), cfg, 0)
+		},
+		"racing": func(workers int) CoopResult {
+			cfg := capConfig(n, 8, 3)
+			cfg.MaxParallelism, cfg.CheckEvery = workers, quantum
+			cfg.Portfolio = []csp.Factory{adaptive.Factory(costas.TunedParams(n)), tabu.Factory(tabu.Params{})}
+			cfg.Allocator = rotating{walkers: 8, arms: 2, window: 24}
+			return CoopResult{Result: Virtual(context.Background(), capFactory(n), cfg, 1<<16)}
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			// WallTime is the only field allowed to differ.
+			outcome := func(workers int) CoopResult {
+				r := run(workers)
+				r.WallTime = 0
+				return r
+			}
+			want := outcome(1)
+			if !want.Solved || want.WinnerIterations <= 4*quantum {
+				t.Fatalf("unsolved, or solved within four rounds: %+v", want)
+			}
+			for _, workers := range []int{2, 3, 5, 16} {
+				if got := outcome(workers); !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d diverges from single-threaded lockstep:\n got %+v\nwant %+v", workers, got, want)
+				}
+			}
+		})
 	}
 }
