@@ -20,7 +20,7 @@ import (
 // because all []int scratch shares one arena, the int32 slabs ride on the
 // counter block, and the plane words share one uint64 arena with the plane
 // log; an adaptive.Engine adds 5 more (engine, RNG, tabu block, the shared
-// bestJs/deltas arena, and the initial configuration). Any slice that stops
+// bestJs/probe-row arena, and the initial configuration). Any slice that stops
 // sharing its arena shows up here as an extra allocation.
 func TestPerSolveSetupAllocBudget(t *testing.T) {
 	cases := []struct {

@@ -196,7 +196,7 @@ func runAll(benchtime string) ([]Result, error) {
 	}
 
 	// kernel/commit_swap_n18 — the write path: probe once, commit with
-	// the probed delta (the DeltaModel contract engines use).
+	// the probed delta (the ScanModel contract engines commit through).
 	{
 		m := costas.New(18, costas.Options{})
 		m.Bind(csp.RandomConfiguration(18, rng.New(1)))

@@ -60,13 +60,6 @@ type Params struct {
 	// can cycle between a pair of mutually-best perturbations forever.
 	ProbSelectLocMin float64
 
-	// FirstBest, when true, commits the first strictly improving swap
-	// found while scanning the culprit's neighborhood (from a random
-	// starting offset) instead of evaluating all n−1 candidates — the
-	// FIRST_BEST mode of the reference C library. It trades move quality
-	// for cheaper iterations on large instances.
-	FirstBest bool
-
 	// RestartLimit controls the restart-from-scratch policy of §III: after
 	// this many iterations without a solution the walker draws a fresh
 	// random configuration. 0 selects an automatic limit of 1000·n² at
@@ -104,8 +97,7 @@ type Stats = csp.Stats
 // goroutine (see internal/walk).
 type Engine struct {
 	model  csp.Model
-	dm     csp.DeltaModel // non-nil iff model implements the hot-path contract
-	sm     csp.ScanModel  // non-nil iff model also implements the batch probe
+	probe  csp.Probe
 	params Params
 	r      *rng.RNG
 
@@ -118,10 +110,9 @@ type Engine struct {
 	solved    bool
 	exhausted bool
 
-	// Scratch for min-conflict tie collection and the batched neighborhood
-	// scan; both ride on one allocation (see NewEngine).
+	// Scratch for min-conflict tie collection; it shares one allocation
+	// with the probe's row (see NewEngine).
 	bestJs []int
-	deltas []int
 
 	// Trace, when non-nil, receives one event per iteration — used by the
 	// debugging tools and the verbose CLI mode. The hot path pays only a
@@ -158,16 +149,11 @@ func NewEngine(model csp.Model, params Params, seed uint64) *Engine {
 		r:         rng.New(seed),
 		tabuUntil: make([]int64, n),
 	}
-	// One arena backs both scratch slices; the three-index slice keeps
-	// bestJs' append capacity at exactly n.
+	// One arena backs bestJs and the probe's row; the three-index slice
+	// keeps bestJs' append capacity at exactly n.
 	scratch := make([]int, 2*n)
 	e.bestJs = scratch[:0:n]
-	e.deltas = scratch[n:]
-	// Probe through the read-only delta kernel when the model has one, and
-	// through the batched neighborhood scan when it has that too; resolved
-	// once here so the min-conflict scan pays no type assertion.
-	e.dm, _ = model.(csp.DeltaModel)
-	e.sm, _ = model.(csp.ScanModel)
+	e.probe = csp.NewProbe(model, scratch[n:])
 	e.cfg = csp.RandomConfiguration(n, e.r)
 	model.Bind(e.cfg)
 	e.solved = model.Cost() == 0
@@ -250,13 +236,13 @@ func (e *Engine) iterate() bool {
 	action := ""
 	switch {
 	case bestJ >= 0 && bestCost < cost:
-		e.commit(culprit, bestJ, bestCost-cost)
+		e.probe.Commit(culprit, bestJ, bestCost-cost)
 		e.stats.Swaps++
 		action = "improve"
 	case bestJ >= 0 && bestCost == cost:
 		// Plateau (§III-B1): follow with probability p, else freeze.
 		if e.r.Float64() < e.params.PlateauProb {
-			e.commit(culprit, bestJ, 0)
+			e.probe.Commit(culprit, bestJ, 0)
 			e.stats.PlateauMoves++
 			action = "plateau"
 		} else {
@@ -269,7 +255,7 @@ func (e *Engine) iterate() bool {
 		// (diversification), otherwise freeze the culprit.
 		e.stats.LocalMinima++
 		if bestJ >= 0 && e.r.Float64() < e.params.ProbSelectLocMin {
-			e.commit(culprit, bestJ, bestCost-cost)
+			e.probe.Commit(culprit, bestJ, bestCost-cost)
 			e.stats.UphillMoves++
 			action = "uphill"
 		} else {
@@ -308,55 +294,19 @@ func (e *Engine) selectCulprit() (culprit int, ok bool) {
 	return culprit, bestErr >= 0
 }
 
-// minConflict evaluates swapping culprit with other variables and returns
-// the chosen resulting cost and partner (−1 if n == 1). In the default
-// mode every candidate is evaluated and ties for the minimum are broken
-// uniformly; in FirstBest mode the scan starts at a random offset and
-// commits to the first strictly improving move, falling back to the full
-// minimum when nothing improves.
+// minConflict evaluates swapping culprit with every other variable and
+// returns the minimal resulting cost and a partner achieving it, ties
+// broken uniformly at random (partner −1 if n == 1).
 func (e *Engine) minConflict(culprit int) (bestCost, bestJ int) {
-	m := e.model
-	dm := e.dm
-	sm := e.sm
-	n := len(e.cfg)
+	cur := e.model.Cost()
 	bestCost = int(^uint(0) >> 1)
 	bestJ = -1
 	e.bestJs = e.bestJs[:0]
-
-	cur := m.Cost()
-	if sm != nil {
-		// One batched pass replaces the n−1 per-candidate probes. The
-		// candidate loop below only reads the precomputed deltas, in the
-		// exact order the per-probe scan would have evaluated them, so the
-		// trajectory (including FirstBest's early exit and the RNG call
-		// sequence) is bit-identical to the SwapDelta path.
-		sm.ScanSwaps(culprit, e.deltas)
-	}
-	start := 0
-	if e.params.FirstBest && n > 1 {
-		start = e.r.Intn(n)
-	}
-	for k := 0; k < n; k++ {
-		j := k
-		if e.params.FirstBest {
-			j = (start + k) % n
-		}
+	for j, d := range e.probe.Row(culprit, 0) {
 		if j == culprit {
 			continue
 		}
-		var c int
-		switch {
-		case sm != nil:
-			c = cur + e.deltas[j]
-		case dm != nil:
-			c = cur + dm.SwapDelta(culprit, j)
-		default:
-			c = m.CostIfSwap(culprit, j)
-		}
-		if e.params.FirstBest && c < cur {
-			return c, j
-		}
-		switch {
+		switch c := cur + d; {
 		case c < bestCost:
 			bestCost = c
 			e.bestJs = append(e.bestJs[:0], j)
@@ -368,17 +318,6 @@ func (e *Engine) minConflict(culprit int) (bestCost, bestJ int) {
 		bestJ = e.bestJs[e.r.Intn(len(e.bestJs))]
 	}
 	return bestCost, bestJ
-}
-
-// commit executes the winning swap. The delta kernel path hands the model
-// the delta minConflict just computed, so the commit performs only the
-// counter writes; plain models re-derive it inside ExecSwap.
-func (e *Engine) commit(i, j, delta int) {
-	if e.dm != nil {
-		e.dm.CommitSwap(i, j, delta)
-	} else {
-		e.model.ExecSwap(i, j)
-	}
 }
 
 // markTabu freezes a variable for TabuTenure iterations and fires a reset

@@ -276,35 +276,6 @@ func TestZeroParamsSanitised(t *testing.T) {
 	}
 }
 
-func TestFirstBestModeSolves(t *testing.T) {
-	for _, n := range []int{10, 12, 14} {
-		p := costas.TunedParams(n)
-		p.FirstBest = true
-		m := costas.New(n, costas.Options{})
-		e := adaptive.NewEngine(m, p, uint64(n)+77)
-		if !e.Solve() {
-			t.Fatalf("FirstBest engine failed on CAP %d", n)
-		}
-		if !costas.IsCostas(e.Solution()) {
-			t.Fatalf("FirstBest produced invalid solution for n=%d", n)
-		}
-	}
-}
-
-func TestFirstBestDeterministic(t *testing.T) {
-	run := func() adaptive.Stats {
-		p := costas.TunedParams(12)
-		p.FirstBest = true
-		m := costas.New(12, costas.Options{})
-		e := adaptive.NewEngine(m, p, 31)
-		e.Solve()
-		return e.Stats()
-	}
-	if run() != run() {
-		t.Fatal("FirstBest mode not deterministic for fixed seed")
-	}
-}
-
 func TestRestartFromInstallsConfiguration(t *testing.T) {
 	m := costas.New(10, costas.Options{})
 	e := adaptive.NewEngine(m, costas.TunedParams(10), 8)

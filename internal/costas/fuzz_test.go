@@ -9,13 +9,13 @@ package costas
 //   - cost == 0 exactly when the configuration is a Costas array;
 //   - CostIfSwap agrees with a from-scratch recomputation of the swapped
 //     configuration and leaves no visible state behind;
-//   - SwapDelta(i, j) == CostIfSwap(i, j) − Cost() (the csp.DeltaModel
-//     identity) and a probe leaves every difference-triangle counter
+//   - SwapDelta(i, j) == CostIfSwap(i, j) − Cost() (the csp.ScanModel
+//     delta identity) and a probe leaves every difference-triangle counter
 //     bit-for-bit untouched (the kernel is genuinely read-only — no
 //     mutate-and-rollback);
 //   - ScanSwaps(i) returns, for every candidate j, exactly SwapDelta(i, j)
-//     (the csp.ScanModel identity the engines' bit-identical adoption rests
-//     on), reports 0 for the no-op j == i, and leaves the counters as
+//     (the csp.ScanModel row identity csp.Probe's tier choice rests on),
+//     reports 0 for the no-op j == i, and leaves the counters as
 //     untouched as the scalar probe does;
 //   - ExecSwap keeps the incremental counters equal to a full rebuild;
 //   - VarCost(i), kept current across swaps, equals the brute-force

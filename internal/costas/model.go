@@ -303,7 +303,7 @@ func (m *Model) ExecSwap(i, j int) {
 	m.CommitSwap(i, j, m.SwapDelta(i, j))
 }
 
-// SwapDelta implements csp.DeltaModel: the global-cost change a swap of
+// SwapDelta implements csp.ScanModel: the global-cost change a swap of
 // positions i and j would cause, computed purely by *reading* the row
 // counters — no counter writes, no undo log. This is the min-conflict probe
 // kernel: Adaptive Search calls it ~n times per iteration, so it must not
@@ -474,7 +474,7 @@ func slowRowDelta(row []int32, po, pn *[4]int, np int) int {
 	return rowDelta
 }
 
-// CommitSwap implements csp.DeltaModel: commit the swap, trusting delta
+// CommitSwap implements csp.ScanModel: commit the swap, trusting delta
 // (the caller's just-computed SwapDelta(i, j)) for the new global cost.
 // This is the ONLY write path over the counters on the solve loop; it
 // re-enumerates the changed pairs but skips all cost accounting.
@@ -670,7 +670,7 @@ func (m *Model) String() string {
 }
 
 var _ csp.Model = (*Model)(nil)
-var _ csp.DeltaModel = (*Model)(nil)
+var _ csp.ScanModel = (*Model)(nil)
 var _ csp.Resetter = (*Model)(nil)
 
 // Reset implements csp.Resetter with the dedicated escape procedure of

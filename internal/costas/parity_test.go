@@ -9,12 +9,12 @@ package costas
 //  1. golden fingerprints: FNV-1a hashes of the (iteration, cost) sequence
 //     of fixed-seed walks, captured from the pre-rewrite implementation
 //     (commit 0253ce1) and frozen here — any semantic drift in the kernel,
-//     the engines' DeltaModel adoption, or the RNG call sequence changes a
+//     the engines' probe loops, or the RNG call sequence changes a
 //     fingerprint;
-//  2. delta-vs-fallback parity: the same engine run twice, once on the
-//     *Model (DeltaModel fast path) and once on a wrapper that hides
-//     SwapDelta/CommitSwap (plain csp.Model fallback), must agree on every
-//     step's cost and counters.
+//  2. scan-vs-plain parity: the same engine run twice, once on the *Model
+//     (csp.Probe's ScanModel tier) and once on a wrapper that hides
+//     SwapDelta/CommitSwap/ScanSwaps (Probe's plain CostIfSwap tier), must
+//     agree on every step's cost and counters.
 
 import (
 	"hash/fnv"
@@ -97,8 +97,7 @@ func TestEngineTrajectoryGoldens(t *testing.T) {
 }
 
 // plainModel wraps *Model exposing ONLY the csp.Model + csp.Resetter
-// surface: engines that type-assert for csp.DeltaModel miss, taking the
-// CostIfSwap/ExecSwap fallback path.
+// surface, so csp.Probe takes its plain CostIfSwap/ExecSwap tier.
 type plainModel struct{ m *Model }
 
 func (p plainModel) Size() int                       { return p.m.Size() }
@@ -112,10 +111,10 @@ func (p plainModel) Reset(cfg []int, r *rng.RNG) int { return p.m.Reset(cfg, r) 
 var _ csp.Model = plainModel{}
 var _ csp.Resetter = plainModel{}
 
-// TestDeltaPathMatchesFallback runs each engine twice from the same seed —
-// once with the DeltaModel fast path, once through a wrapper that forces
-// the plain-Model fallback — and requires identical cost trajectories.
-func TestDeltaPathMatchesFallback(t *testing.T) {
+// TestScanProbeMatchesPlainProbe runs each engine twice from the same seed
+// — once on the native ScanModel, once through a wrapper that forces
+// csp.Probe's plain tier — and requires identical cost trajectories.
+func TestScanProbeMatchesPlainProbe(t *testing.T) {
 	for _, engine := range []string{"adaptive", "tabu", "hillclimb", "dialectic"} {
 		for _, errf := range []ErrFunc{ErrUnit, ErrQuadratic} {
 			n, steps := 13, 600
@@ -125,11 +124,11 @@ func TestDeltaPathMatchesFallback(t *testing.T) {
 			const seed = 987654321
 			fast := New(n, Options{Err: errf})
 			slow := New(n, Options{Err: errf})
-			if _, ok := csp.Model(fast).(csp.DeltaModel); !ok {
-				t.Fatal("costas.Model must implement csp.DeltaModel")
+			if _, ok := csp.Model(fast).(csp.ScanModel); !ok {
+				t.Fatal("costas.Model must implement csp.ScanModel")
 			}
-			if _, ok := csp.Model(plainModel{slow}).(csp.DeltaModel); ok {
-				t.Fatal("plainModel wrapper must hide the DeltaModel methods")
+			if _, ok := csp.Model(plainModel{slow}).(csp.ScanModel); ok {
+				t.Fatal("plainModel wrapper must hide the ScanModel methods")
 			}
 			ef := newParityEngine(engine, fast, n, seed)
 			es := newParityEngine(engine, plainModel{slow}, n, seed)
@@ -138,67 +137,7 @@ func TestDeltaPathMatchesFallback(t *testing.T) {
 				ds := es.Step(1)
 				if df != ds || ef.Cost() != es.Cost() ||
 					ef.Stats().Iterations != es.Stats().Iterations {
-					t.Fatalf("%s err=%d step %d: delta path (solved=%v cost=%d iters=%d) diverged from fallback (solved=%v cost=%d iters=%d)",
-						engine, errf, k, df, ef.Cost(), ef.Stats().Iterations,
-						ds, es.Cost(), es.Stats().Iterations)
-				}
-				if df || ef.Exhausted() {
-					break
-				}
-			}
-		}
-	}
-}
-
-// deltaOnlyModel wraps *Model exposing the csp.Model + csp.DeltaModel +
-// csp.Resetter surface but hiding ONLY ScanSwaps: engines that resolve the
-// probe chain land on the scalar SwapDelta tier instead of the batched scan.
-// It isolates the middle link of the ScanModel → DeltaModel → Model chain,
-// where plainModel only exercises the chain's last resort.
-type deltaOnlyModel struct{ m *Model }
-
-func (p deltaOnlyModel) Size() int                       { return p.m.Size() }
-func (p deltaOnlyModel) Bind(cfg []int)                  { p.m.Bind(cfg) }
-func (p deltaOnlyModel) Cost() int                       { return p.m.Cost() }
-func (p deltaOnlyModel) VarCost(i int) int               { return p.m.VarCost(i) }
-func (p deltaOnlyModel) CostIfSwap(i, j int) int         { return p.m.CostIfSwap(i, j) }
-func (p deltaOnlyModel) ExecSwap(i, j int)               { p.m.ExecSwap(i, j) }
-func (p deltaOnlyModel) SwapDelta(i, j int) int          { return p.m.SwapDelta(i, j) }
-func (p deltaOnlyModel) CommitSwap(i, j, delta int)      { p.m.CommitSwap(i, j, delta) }
-func (p deltaOnlyModel) Reset(cfg []int, r *rng.RNG) int { return p.m.Reset(cfg, r) }
-
-var _ csp.DeltaModel = deltaOnlyModel{}
-var _ csp.Resetter = deltaOnlyModel{}
-
-// TestScanPathMatchesDeltaPath runs each engine twice from the same seed —
-// once with the full ScanModel surface (batched neighborhood scan), once
-// through deltaOnlyModel (scalar SwapDelta probes) — and requires identical
-// cost trajectories. Together with TestDeltaPathMatchesFallback this pins
-// every link of the probe chain to the same behaviour.
-func TestScanPathMatchesDeltaPath(t *testing.T) {
-	for _, engine := range []string{"adaptive", "tabu", "hillclimb", "dialectic"} {
-		for _, errf := range []ErrFunc{ErrUnit, ErrQuadratic} {
-			n, steps := 13, 600
-			if engine == "dialectic" {
-				n, steps = 11, 25
-			}
-			const seed = 246813579
-			fast := New(n, Options{Err: errf})
-			slow := New(n, Options{Err: errf})
-			if _, ok := csp.Model(fast).(csp.ScanModel); !ok {
-				t.Fatal("costas.Model must implement csp.ScanModel")
-			}
-			if _, ok := csp.Model(deltaOnlyModel{slow}).(csp.ScanModel); ok {
-				t.Fatal("deltaOnlyModel wrapper must hide ScanSwaps")
-			}
-			ef := newParityEngine(engine, fast, n, seed)
-			es := newParityEngine(engine, deltaOnlyModel{slow}, n, seed)
-			for k := 0; k < steps; k++ {
-				df := ef.Step(1)
-				ds := es.Step(1)
-				if df != ds || ef.Cost() != es.Cost() ||
-					ef.Stats().Iterations != es.Stats().Iterations {
-					t.Fatalf("%s err=%d step %d: scan path (solved=%v cost=%d iters=%d) diverged from delta path (solved=%v cost=%d iters=%d)",
+					t.Fatalf("%s err=%d step %d: scan probe (solved=%v cost=%d iters=%d) diverged from plain probe (solved=%v cost=%d iters=%d)",
 						engine, errf, k, df, ef.Cost(), ef.Stats().Iterations,
 						ds, es.Cost(), es.Stats().Iterations)
 				}
@@ -240,7 +179,7 @@ func TestScratchCapacityBounded(t *testing.T) {
 	}
 }
 
-// TestSwapDeltaMatchesCostIfSwap: the DeltaModel identity on random walks.
+// TestSwapDeltaMatchesCostIfSwap: the ScanModel delta identity on random walks.
 func TestSwapDeltaMatchesCostIfSwap(t *testing.T) {
 	for _, opts := range []Options{{}, {Err: ErrQuadratic}, {FullTriangle: true}} {
 		m, _, r := newBound(14, opts, 77)

@@ -14,6 +14,7 @@ package csp_test
 // the registry automatically adds it to this engine×model cross-product.
 
 import (
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -22,6 +23,8 @@ import (
 	"repro/internal/csp"
 	"repro/internal/dialectic"
 	"repro/internal/hillclimb"
+	"repro/internal/models/allinterval"
+	"repro/internal/models/nqueens"
 	"repro/internal/registry"
 	"repro/internal/tabu"
 )
@@ -358,5 +361,69 @@ func TestStatsSubAttributesPerSolveWork(t *testing.T) {
 				t.Fatalf("Sub is not field-wise: %+v", delta)
 			}
 		})
+	}
+}
+
+// trajectoryFingerprint steps the engine one iteration at a time and hashes
+// the (total iterations, cost) pair after every step — the procedure the
+// costas goldens (internal/costas/parity_test.go) were captured with.
+func trajectoryFingerprint(e csp.Engine, steps int) uint64 {
+	h := fnv.New64a()
+	var buf [16]byte
+	for k := 0; k < steps; k++ {
+		if e.Step(1) || e.Exhausted() {
+			break
+		}
+		it := e.Stats().Iterations
+		c := e.Cost()
+		for b := 0; b < 8; b++ {
+			buf[b] = byte(it >> (8 * b))
+			buf[8+b] = byte(int64(c) >> (8 * b))
+		}
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestPlainModelTrajectoryGoldens pins every engine's trajectory on two
+// plain models (no ScanSwaps, SwapDelta or CommitSwap, so the engines probe
+// through CostIfSwap and commit through ExecSwap). The fingerprints were
+// captured before the engines' probe chains were collapsed into csp.Probe;
+// a failure means the plain probe path changed solver behaviour.
+func TestPlainModelTrajectoryGoldens(t *testing.T) {
+	cases := []struct {
+		engine string
+		model  string
+		n      int
+		steps  int
+		want   uint64
+	}{
+		{"adaptive", "allinterval", 16, 3000, 0x67cc763befd25866},
+		{"tabu", "allinterval", 16, 600, 0x2999ca0257328b5f},
+		{"hillclimb", "allinterval", 16, 6000, 0x34c1acabb552fe51},
+		{"dialectic", "allinterval", 16, 200, 0x4466dadc0d8a716d},
+		{"adaptive", "nqueens", 32, 3000, 0x14d12122f06958e2},
+		{"tabu", "nqueens", 32, 300, 0xa3d2adff57ee8439},
+		{"hillclimb", "nqueens", 32, 6000, 0x1d314314f542edf9},
+		{"dialectic", "nqueens", 32, 200, 0x8b53c2abc6bce1a7},
+	}
+	const seed = 24680
+	engines := conformanceEngines()
+	for _, tc := range cases {
+		var m csp.Model
+		switch tc.model {
+		case "allinterval":
+			m = allinterval.New(tc.n)
+		case "nqueens":
+			m = nqueens.New(tc.n)
+		}
+		if _, ok := m.(csp.ScanModel); ok {
+			t.Fatalf("%s implements csp.ScanModel; this test pins the plain probe path", tc.model)
+		}
+		e := engines[tc.engine](m, seed)
+		if got := trajectoryFingerprint(e, tc.steps); got != tc.want {
+			t.Errorf("%s on %s n=%d seed=%d: trajectory fingerprint 0x%016x, golden 0x%016x",
+				tc.engine, tc.model, tc.n, seed, got, tc.want)
+		}
 	}
 }

@@ -62,44 +62,16 @@ type Model interface {
 	ExecSwap(i, j int)
 }
 
-// DeltaModel is the hot-path extension of Model for engines that probe many
-// swaps per committed move (the Adaptive Search min-conflict scan evaluates
-// ~n candidates and commits one). It exposes the move evaluation as a pure
-// cost *delta* and lets the caller commit the winning swap without the model
-// recomputing the delta it just reported:
+// ScanModel is the fast-probe extension of Model for engines that probe
+// many swaps per committed move (the Adaptive Search min-conflict scan
+// evaluates n−1 candidates and commits one). It exposes move evaluation as
+// a read-only cost *delta*, batches a whole row of the swap neighborhood
+// into one pass over the model's incremental state, and lets the caller
+// commit the winning swap without the model recomputing the delta it just
+// reported:
 //
 //	SwapDelta(i, j)        ≡ CostIfSwap(i, j) − Cost(), with NO writes to
 //	                         any internal state (read-only probe);
-//	CommitSwap(i, j, d)    ≡ ExecSwap(i, j), but trusts d == SwapDelta(i, j)
-//	                         and skips the delta recomputation.
-//
-// CommitSwap's delta argument MUST be the value SwapDelta (or
-// CostIfSwap − Cost) returned for the same (i, j) against the current
-// configuration; passing anything else silently corrupts the incremental
-// cost. Engines type-assert for this interface once at construction and
-// fall back to CostIfSwap/ExecSwap for plain Models, so implementing it is
-// strictly an optimisation — the conformance and parity suites hold both
-// paths to bit-identical trajectories.
-type DeltaModel interface {
-	Model
-
-	// SwapDelta returns the global-cost change that swapping positions i
-	// and j would cause. It must not write to any internal state — not
-	// even transiently (no mutate-and-rollback): read-only probing is what
-	// keeps the min-conflict scan memory-bandwidth-cheap.
-	SwapDelta(i, j int) int
-
-	// CommitSwap swaps positions i and j of the bound configuration and
-	// updates incremental state, trusting delta (the caller's just-computed
-	// SwapDelta(i, j)) for the new global cost.
-	CommitSwap(i, j, delta int)
-}
-
-// ScanModel is the batch extension of DeltaModel for engines that probe a
-// whole swap neighborhood per committed move. Where DeltaModel turns one
-// probe into a read-only delta, ScanModel turns the n−1 probes of a
-// worst-variable scan into ONE pass over the model's incremental state:
-//
 //	ScanSwaps(i, deltas)   ≡ deltas[j] = SwapDelta(i, j) for every j
 //	                         (deltas[i] = 0), with no OBSERVABLE state
 //	                         change: cost, per-variable errors and every
@@ -108,17 +80,29 @@ type DeltaModel interface {
 //	                         settle internal caches — e.g. refresh a
 //	                         lazily-maintained acceleration structure —
 //	                         but nothing visible through the interface.)
+//	CommitSwap(i, j, d)    ≡ ExecSwap(i, j), but trusts d == SwapDelta(i, j)
+//	                         and skips the delta recomputation.
 //
-// The identity is exact, element for element — the conformance, parity and
-// fuzz suites pin ScanSwaps(i)[j] == SwapDelta(i, j) — so engines may mix
-// the two freely and a batch adoption can never change a trajectory, only
-// its cost. deltas must have length Size(); the engine owns it as reusable
-// scratch (the batch path stays allocation-free). Engines type-assert for
-// ScanModel first, then DeltaModel, then fall back to the plain Model
-// methods, so implementing it is strictly an optimisation, exactly like
-// DeltaModel.
+// The identities are exact, element for element — the conformance, parity
+// and fuzz suites pin them — so implementing ScanModel can never change a
+// trajectory, only its cost. CommitSwap's delta argument MUST be the value
+// SwapDelta (or CostIfSwap − Cost) returned for the same (i, j) against the
+// current configuration; passing anything else silently corrupts the
+// incremental cost. Engines do not type-assert for this interface
+// themselves: they probe through Probe, which resolves the tier once and
+// falls back to CostIfSwap/ExecSwap for plain Models.
 type ScanModel interface {
-	DeltaModel
+	Model
+
+	// SwapDelta returns the global-cost change that swapping positions i
+	// and j would cause. It must not write to any internal state — not
+	// even transiently (no mutate-and-rollback).
+	SwapDelta(i, j int) int
+
+	// CommitSwap swaps positions i and j of the bound configuration and
+	// updates incremental state, trusting delta (the caller's just-computed
+	// SwapDelta(i, j)) for the new global cost.
+	CommitSwap(i, j, delta int)
 
 	// ScanSwaps computes, in one pass, the global-cost change that
 	// swapping position i with every other position would cause, writing

@@ -1,0 +1,68 @@
+package csp
+
+// Probe is the one swap-probe API every engine drives. It resolves the
+// model's tier once, at construction: a ScanModel answers a whole row of
+// the swap neighborhood with one ScanSwaps pass and commits through
+// CommitSwap; any other Model is probed with CostIfSwap − Cost and
+// committed through ExecSwap. Both tiers give identical deltas (the
+// ScanModel contract), so an engine's trajectory does not depend on which
+// tier its model implements — only its cost does.
+//
+// A Probe is a small value: engines store it by value and hand it the
+// scratch they already own, so building one allocates nothing.
+type Probe struct {
+	m      Model
+	sm     ScanModel // non-nil iff m implements the fast tier
+	deltas []int     // Row's output; length m.Size()
+}
+
+// NewProbe resolves m's probe tier. deltas is the scratch Row writes into
+// and returns; it must have length m.Size(), or be nil for an engine that
+// never calls Row.
+func NewProbe(m Model, deltas []int) Probe {
+	sm, _ := m.(ScanModel)
+	return Probe{m: m, sm: sm, deltas: deltas}
+}
+
+// Row returns the swap deltas of position i: row[j] = CostIfSwap(i, j) −
+// Cost() for every j ≥ lo, j ≠ i. Other entries are unspecified. The
+// slice is the Probe's scratch, valid until the next Row call. A plain
+// model pays one CostIfSwap per entry from lo on, so an engine scanning
+// only the j > i half of the quadratic neighborhood passes lo = i+1.
+func (p *Probe) Row(i, lo int) []int {
+	if p.sm != nil {
+		p.sm.ScanSwaps(i, p.deltas)
+		return p.deltas
+	}
+	return p.plainRow(i, lo)
+}
+
+// plainRow is Row's CostIfSwap loop, kept out of Row so the ScanModel
+// branch stays small enough to inline.
+func (p *Probe) plainRow(i, lo int) []int {
+	cur := p.m.Cost()
+	for j := lo; j < len(p.deltas); j++ {
+		if j != i {
+			p.deltas[j] = p.m.CostIfSwap(i, j) - cur
+		}
+	}
+	return p.deltas
+}
+
+// Delta returns CostIfSwap(i, j) − Cost() for one pair.
+func (p *Probe) Delta(i, j int) int {
+	if p.sm != nil {
+		return p.sm.SwapDelta(i, j)
+	}
+	return p.m.CostIfSwap(i, j) - p.m.Cost()
+}
+
+// Commit swaps positions i and j. delta must be the value Row or Delta
+// just returned for the pair: the fast tier trusts it for the new cost.
+func (p *Probe) Commit(i, j, delta int) {
+	if p.sm != nil {
+		p.sm.CommitSwap(i, j, delta)
+		return
+	}
+	p.m.ExecSwap(i, j)
+}

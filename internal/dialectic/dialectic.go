@@ -46,12 +46,10 @@ type Stats = csp.Stats
 // Solver runs Dialectic Search on a permutation model.
 type Solver struct {
 	model  csp.Model
-	dm     csp.DeltaModel // non-nil iff model implements the hot-path contract
-	sm     csp.ScanModel  // non-nil iff model also implements the batch probe
+	probe  csp.Probe
 	params Params
 	r      *rng.RNG
 
-	deltas    []int // batch-scan scratch (nil unless sm != nil)
 	cfg       []int
 	best      []int
 	stats     Stats
@@ -83,16 +81,13 @@ func New(model csp.Model, params Params, seed uint64) *Solver {
 	n := model.Size()
 	s := &Solver{
 		model:   model,
+		probe:   csp.NewProbe(model, make([]int, n)),
 		params:  params,
 		r:       rng.New(seed),
 		anti:    make([]int, n),
 		synth:   make([]int, n),
 		scratch: make([]int, n),
 		pos:     make([]int, n),
-	}
-	s.dm, _ = model.(csp.DeltaModel)
-	if s.sm, _ = model.(csp.ScanModel); s.sm != nil {
-		s.deltas = make([]int, n)
 	}
 	s.cfg = csp.RandomConfiguration(n, s.r)
 	model.Bind(s.cfg)
@@ -232,22 +227,9 @@ func (s *Solver) descend() {
 		}
 		bestI, bestJ, bestCost := -1, -1, cur
 		for i := 0; i < n-1; i++ {
-			if s.sm != nil {
-				// One batched pass per row of the quadratic neighborhood;
-				// the inner loop reads the j > i half of the precomputed
-				// deltas in the per-probe evaluation order.
-				s.sm.ScanSwaps(i, s.deltas)
-			}
+			deltas := s.probe.Row(i, i+1)
 			for j := i + 1; j < n; j++ {
-				var c int
-				switch {
-				case s.sm != nil:
-					c = cur + s.deltas[j]
-				case s.dm != nil:
-					c = cur + s.dm.SwapDelta(i, j)
-				default:
-					c = m.CostIfSwap(i, j)
-				}
+				c := cur + deltas[j]
 				s.stats.Evaluations++
 				if c < bestCost {
 					bestCost, bestI, bestJ = c, i, j
@@ -257,11 +239,7 @@ func (s *Solver) descend() {
 		if bestI < 0 {
 			return // local minimum
 		}
-		if s.dm != nil {
-			s.dm.CommitSwap(bestI, bestJ, bestCost-cur)
-		} else {
-			m.ExecSwap(bestI, bestJ)
-		}
+		s.probe.Commit(bestI, bestJ, bestCost-cur)
 		if s.budget() {
 			return
 		}

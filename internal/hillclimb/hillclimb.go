@@ -34,16 +34,11 @@ type Stats = csp.Stats
 
 // Solver is a random-restart first-improvement hill climber.
 //
-// The climber resolves the full probe chain (csp.ScanModel → csp.DeltaModel
-// → plain csp.Model) like the other engines, but its move rule samples ONE
-// random pair per iteration — there is no worst-variable neighborhood scan
-// to batch — so the scan kernel would compute n−1 deltas to read one. It
-// therefore keeps the scalar SwapDelta probe; sm is resolved only so the
-// chain is uniform (and exercised by the conformance suite).
+// Its move rule samples ONE random pair per iteration, so it probes with
+// csp.Probe.Delta rather than a whole Row, and needs no row scratch.
 type Solver struct {
 	model  csp.Model
-	dm     csp.DeltaModel // non-nil iff model implements the hot-path contract
-	sm     csp.ScanModel  // resolved for chain uniformity; unused by the sampler
+	probe  csp.Probe
 	params Params
 	r      *rng.RNG
 
@@ -67,9 +62,7 @@ func New(model csp.Model, params Params, seed uint64) *Solver {
 	if params.SampleFactor <= 0 {
 		params.SampleFactor = 2
 	}
-	s := &Solver{model: model, params: params, r: rng.New(seed)}
-	s.dm, _ = model.(csp.DeltaModel)
-	s.sm, _ = model.(csp.ScanModel)
+	s := &Solver{model: model, probe: csp.NewProbe(model, nil), params: params, r: rng.New(seed)}
 	s.cfg = csp.RandomConfiguration(model.Size(), s.r)
 	model.Bind(s.cfg)
 	s.solved = model.Cost() == 0
@@ -133,15 +126,8 @@ func (s *Solver) iterate() bool {
 	if i == j {
 		return false
 	}
-	if s.dm != nil {
-		if d := s.dm.SwapDelta(i, j); d < 0 {
-			s.dm.CommitSwap(i, j, d)
-			s.stats.Moves++
-			s.sinceImprove = 0
-			return m.Cost() == 0
-		}
-	} else if m.CostIfSwap(i, j) < m.Cost() {
-		m.ExecSwap(i, j)
+	if d := s.probe.Delta(i, j); d < 0 {
+		s.probe.Commit(i, j, d)
 		s.stats.Moves++
 		s.sinceImprove = 0
 		return m.Cost() == 0

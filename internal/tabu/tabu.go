@@ -34,12 +34,10 @@ type Stats = csp.Stats
 // Solver is a single tabu-search run over a permutation model.
 type Solver struct {
 	model  csp.Model
-	dm     csp.DeltaModel // non-nil iff model implements the hot-path contract
-	sm     csp.ScanModel  // non-nil iff model also implements the batch probe
+	probe  csp.Probe
 	params Params
 	r      *rng.RNG
 
-	deltas    []int // batch-scan scratch (nil unless sm != nil)
 	cfg       []int
 	tabu      [][]int64 // tabu[i][j]: iteration until which swapping values i,j is tabu
 	bestCost  int
@@ -71,11 +69,8 @@ func New(model csp.Model, params Params, seed uint64) *Solver {
 		model:  model,
 		params: params,
 		r:      rng.New(seed),
+		probe:  csp.NewProbe(model, make([]int, n)),
 		tabu:   make([][]int64, n),
-	}
-	s.dm, _ = model.(csp.DeltaModel)
-	if s.sm, _ = model.(csp.ScanModel); s.sm != nil {
-		s.deltas = make([]int, n)
 	}
 	for i := range s.tabu {
 		s.tabu[i] = make([]int64, n)
@@ -147,22 +142,9 @@ func (s *Solver) iterate() bool {
 	bestI, bestJ, bestMove := -1, -1, int(^uint(0)>>1)
 	aspired := false
 	for i := 0; i < n-1; i++ {
-		if s.sm != nil {
-			// One batched pass per row of the quadratic neighborhood; the
-			// inner loop reads the j > i half of the precomputed deltas in
-			// the exact order the per-probe scan would have evaluated them.
-			s.sm.ScanSwaps(i, s.deltas)
-		}
+		deltas := s.probe.Row(i, i+1)
 		for j := i + 1; j < n; j++ {
-			var c int
-			switch {
-			case s.sm != nil:
-				c = cur + s.deltas[j]
-			case s.dm != nil:
-				c = cur + s.dm.SwapDelta(i, j)
-			default:
-				c = m.CostIfSwap(i, j)
-			}
+			c := cur + deltas[j]
 			s.stats.Evaluations++
 			vi, vj := s.cfg[i], s.cfg[j]
 			if vi > vj {
@@ -193,11 +175,7 @@ func (s *Solver) iterate() bool {
 	if aspired {
 		s.stats.Aspirations++
 	}
-	if s.dm != nil {
-		s.dm.CommitSwap(bestI, bestJ, bestMove-cur)
-	} else {
-		m.ExecSwap(bestI, bestJ)
-	}
+	s.probe.Commit(bestI, bestJ, bestMove-cur)
 
 	if c := m.Cost(); c < s.bestCost {
 		s.bestCost = c
