@@ -43,7 +43,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/costas"
 	"repro/internal/csp"
+	"repro/internal/dialectic"
 	"repro/internal/rng"
+	"repro/internal/tabu"
 	"repro/internal/walk"
 
 	"context"
@@ -214,15 +216,22 @@ func runAll(benchtime string) ([]Result, error) {
 		steady("kernel/bind_n18", func(int) { m.Bind(cfg) })
 	}
 
-	// engine/adaptive_steady_n18 — one repair iteration of the post-Bind
-	// Adaptive Search loop, restarts included.
-	{
-		m := costas.New(18, costas.Options{})
-		e := adaptive.NewEngine(m, costas.TunedParams(18), 7)
+	// engine/*_steady_n18 — one Step(1) of an engine's post-Bind loop,
+	// restarts included: an Adaptive Search repair iteration, a tabu scan
+	// of the quadratic neighborhood plus its move, a dialectic round.
+	for _, eng := range []struct {
+		name string
+		e    csp.Restartable
+	}{
+		{"engine/adaptive_steady_n18", adaptive.NewEngine(costas.New(18, costas.Options{}), costas.TunedParams(18), 7)},
+		{"engine/tabu_steady_n18", tabu.New(costas.New(18, costas.Options{}), tabu.Params{}, 7)},
+		{"engine/dialectic_steady_n18", dialectic.New(costas.New(18, costas.Options{}), dialectic.Params{}, 7)},
+	} {
+		e := eng.e
 		scratch := make([]int, 18)
 		reseed := rng.New(99)
 		e.Step(512) // warm past one-time work
-		steady("engine/adaptive_steady_n18", func(int) {
+		steady(eng.name, func(int) {
 			if e.Solved() {
 				reseed.PermInto(scratch)
 				e.RestartFrom(scratch)

@@ -16,15 +16,18 @@ package costas
 //   - ScanSwaps(i) returns, for every candidate j, exactly SwapDelta(i, j)
 //     (the csp.ScanModel row identity csp.Probe's tier choice rests on),
 //     reports 0 for the no-op j == i, and leaves the counters as
-//     untouched as the scalar probe does;
+//     untouched as the scalar probe does; a suffix view d[lo:] gets
+//     exactly SwapDelta(i, lo+k) in d[lo+k] and d[:lo] is not written;
 //   - ExecSwap keeps the incremental counters equal to a full rebuild;
 //   - VarCost(i), kept current across swaps, equals the brute-force
 //     varCostOf reference.
 //
 // The fuzz input is one seed (the random permutation) plus a script whose
 // first bytes pick the instance size and variant and whose tail is the
-// swap sequence. Orders run 2..40, so both the one-word SWAR rows (n ≤ 32)
-// and the gather path (n ≥ 33) are reached. Seed corpus lives in
+// swap sequence. Each swap's suffix start lo is the sum of its two bytes
+// mod n+1, so no byte changes meaning and every corpus entry stays valid.
+// Orders run 2..40, so both the one-word SWAR rows (n ≤ 32) and the
+// gather path (n ≥ 33) are reached. Seed corpus lives in
 // testdata/fuzz/FuzzCostasCost and in the f.Add calls below.
 
 import (
@@ -120,6 +123,22 @@ func FuzzCostasCost(f *testing.F) {
 			}
 			if deltas[i] != 0 {
 				t.Fatalf("ScanSwaps(%d)[%d] = %d for the identity swap, want 0 (cfg %v)", i, i, deltas[i], cfg)
+			}
+			// Suffix view: only candidates from lo on, prefix untouched.
+			lo := (int(swaps[k]) + int(swaps[k+1])) % (n + 1)
+			const untouched = -1 << 40 // no swap delta is this large
+			for c := range deltas {
+				deltas[c] = untouched
+			}
+			m.ScanSwaps(i, deltas[lo:])
+			for c := 0; c < n; c++ {
+				want := untouched
+				if c >= lo {
+					want = m.SwapDelta(i, c)
+				}
+				if deltas[c] != want {
+					t.Fatalf("ScanSwaps(%d, d[%d:]) left d[%d] = %d, want %d (cfg %v)", i, lo, c, deltas[c], want, cfg)
+				}
 			}
 			for s := range cntSnapshot {
 				if m.cnt[s] != cntSnapshot[s] {

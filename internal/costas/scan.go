@@ -12,9 +12,10 @@ package costas
 // counter lanes.
 //
 // Exactness contract: ScanSwaps(i, deltas) leaves deltas[j] == SwapDelta(i,
-// j) for every j, bit for bit, and writes nothing to the model's internal
-// state. The fuzz and parity suites pin both properties, which is what lets
-// the engines adopt the batch path without any trajectory drift.
+// j) for every j (for a suffix view, deltas[k] == SwapDelta(i, from+k)),
+// bit for bit, and writes nothing to the model's internal state. The fuzz
+// and parity suites pin both properties, which is what lets the engines
+// adopt the batch path without any trajectory drift.
 //
 // Shape of the computation. Fix i with value vi. For a candidate j (value
 // vj) and a checked row d, at most four pairs change their difference:
@@ -74,13 +75,18 @@ package costas
 // exclusion at all: every changed pair rejoins the value it left, so the
 // generic formula contributes exactly zero.
 //
-// Blocking. The candidate range is chunked into ScanBlock-sized blocks
-// (Options.ScanBlock; DefaultScanBlock was picked by the perfbench block
-// sweep): per block the triangle is walked once, accumulating into an int32
-// delta slab that stays resident in L1. Small orders fit in one block; at
-// large n blocking trades an extra triangle walk per block for a slab that
-// never leaves L1 — the same memory-for-speed knob as the kbs/bs block
-// sizes in the related work's chunked pipelines.
+// Blocking. The candidate range [from, n) — the whole row, or the suffix
+// a shorter deltas view asks for (from = n − len(deltas)) — is chunked into
+// ScanBlock-sized blocks (Options.ScanBlock; DefaultScanBlock was picked by
+// the perfbench block sweep): per block the triangle is walked once,
+// accumulating into an int32 delta slab that stays resident in L1. Small
+// orders fit in one block; at large n blocking trades an extra triangle
+// walk per block for a slab that never leaves L1 — the same
+// memory-for-speed knob as the kbs/bs block sizes in the related work's
+// chunked pipelines. Every per-candidate step works on a [lo, hi) block,
+// so a suffix view costs only its own candidates: tabu search and
+// dialectic descent, which read the j > i half of each row, pay for half
+// the neighborhood.
 
 import (
 	"fmt"
@@ -95,25 +101,28 @@ import (
 // fits in a single block, so the default adds no chunking overhead there.
 const DefaultScanBlock = 256
 
-// ScanSwaps implements csp.ScanModel: deltas[j] = SwapDelta(i, j) for every
-// j, computed in one blocked pass over the difference triangle. The probe
-// changes nothing observable through the model interface (counters, cost,
-// per-variable errors, configuration); it does settle the lazily-maintained
-// bit-plane cache, which is an internal accelerator structure only.
-// deltas must have length n.
+// ScanSwaps implements csp.ScanModel: deltas is a suffix view of the
+// swap-delta row, deltas[k] = SwapDelta(i, from+k) with from = n −
+// len(deltas), computed in one blocked pass over the difference triangle
+// for the candidates [from, n) only. A full-length slice is the whole row.
+// The probe changes nothing observable through the model interface
+// (counters, cost, per-variable errors, configuration); it does settle the
+// lazily-maintained bit-plane cache, which is an internal accelerator
+// structure only. deltas must not be longer than n.
 func (m *Model) ScanSwaps(i int, deltas []int) {
-	if len(deltas) != m.n {
-		panic(fmt.Sprintf("costas: ScanSwaps with deltas of length %d, want %d", len(deltas), m.n))
+	if len(deltas) > m.n {
+		panic(fmt.Sprintf("costas: ScanSwaps with deltas of length %d, want at most %d", len(deltas), m.n))
 	}
 	if i < 0 || i >= m.n {
 		panic(fmt.Sprintf("costas: ScanSwaps position %d out of range [0,%d)", i, m.n))
 	}
-	for lo := 0; lo < m.n; lo += m.scanBlock {
+	from := m.n - len(deltas)
+	for lo := from; lo < m.n; lo += m.scanBlock {
 		hi := lo + m.scanBlock
 		if hi > m.n {
 			hi = m.n
 		}
-		m.scanBlockInto(i, lo, hi, deltas)
+		m.scanBlockInto(i, lo, hi, deltas[lo-from:hi-from])
 	}
 }
 
@@ -126,10 +135,10 @@ func b2i(c bool) int32 {
 	return 0
 }
 
-// scanBlockInto resolves deltas[lo:hi] for a swap partner block: the
-// optimistic sweep per row with inline per-row collision merges, then the
-// per-row special candidates.
-func (m *Model) scanBlockInto(i, lo, hi int, deltas []int) {
+// scanBlockInto resolves the swap partner block [lo, hi) into out
+// (out[k] = SwapDelta(i, lo+k)): the optimistic sweep per row with inline
+// per-row collision merges, then the per-row special candidates.
+func (m *Model) scanBlockInto(i, lo, hi int, out []int) {
 	n := m.n
 	cfg := m.cfg
 	cnt := m.cnt
@@ -270,10 +279,10 @@ func (m *Model) scanBlockInto(i, lo, hi int, deltas []int) {
 		}
 	}
 
-	// acc[i−lo] is untouched (i is split out of every run), so deltas[i]
-	// lands on 0 without a special case.
+	// acc[i−lo] is untouched (i is split out of every run), so the
+	// identity swap lands on 0 without a special case.
 	for k := range acc {
-		deltas[lo+k] = int(acc[k])
+		out[k] = int(acc[k])
 	}
 }
 

@@ -122,8 +122,67 @@ func TestScanSwapsReadOnly(t *testing.T) {
 	}
 }
 
+// TestScanSwapsSuffixMatchesFull pins the suffix-view contract: for every i
+// and every lo ∈ [0, n], ScanSwaps(i, buf[lo:]) writes exactly the full
+// scan's deltas for j ≥ lo, leaves the prefix buf[:lo] alone, changes no
+// observable state, and an empty view is a no-op — across the SWAR/gather
+// boundary, both error weights and triangle depths, and block sizes that
+// split the suffix at odd places.
+func TestScanSwapsSuffixMatchesFull(t *testing.T) {
+	const sentinel = -1 << 40
+	for _, n := range []int{2, 3, 13, 16, 32, 33, 40} {
+		for _, base := range costasVariants {
+			for _, sb := range []int{1, 5, 0} {
+				opts := base
+				opts.ScanBlock = sb
+				m, _, _ := newBound(n, opts, uint64(7*n+sb))
+				cnt := append([]int32(nil), m.cnt...)
+				cost := m.Cost()
+				varCost := make([]int, n)
+				for v := range varCost {
+					varCost[v] = m.VarCost(v)
+				}
+				full, buf := make([]int, n), make([]int, n)
+				for i := 0; i < n; i++ {
+					m.ScanSwaps(i, full)
+					for lo := 0; lo <= n; lo++ {
+						for k := range buf {
+							buf[k] = sentinel
+						}
+						m.ScanSwaps(i, buf[lo:])
+						for j := 0; j < n; j++ {
+							want := full[j]
+							if j < lo {
+								want = sentinel
+							}
+							if buf[j] != want {
+								t.Fatalf("n=%d opts=%+v: ScanSwaps(%d, buf[%d:]) left buf[%d] = %d, want %d",
+									n, opts, i, lo, j, buf[j], want)
+							}
+						}
+					}
+				}
+				if m.Cost() != cost {
+					t.Fatalf("n=%d opts=%+v: suffix scans moved Cost %d → %d", n, opts, cost, m.Cost())
+				}
+				for k := range cnt {
+					if m.cnt[k] != cnt[k] {
+						t.Fatalf("n=%d opts=%+v: suffix scans wrote counter %d: %d → %d", n, opts, k, cnt[k], m.cnt[k])
+					}
+				}
+				for v, want := range varCost {
+					if got := m.VarCost(v); got != want {
+						t.Fatalf("n=%d opts=%+v: suffix scans moved VarCost(%d) %d → %d", n, opts, v, want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestScanSwapsPanics: the batch probe validates its arguments like the rest
-// of the model API.
+// of the model API. A short deltas is a legal suffix view; a long one, or a
+// position out of range, is not — even with an empty view.
 func TestScanSwapsPanics(t *testing.T) {
 	m, _, _ := newBound(9, Options{}, 5)
 	expectPanic := func(name string, f func()) {
@@ -134,10 +193,13 @@ func TestScanSwapsPanics(t *testing.T) {
 		}()
 		f()
 	}
-	expectPanic("short deltas", func() { m.ScanSwaps(0, make([]int, 8)) })
 	expectPanic("long deltas", func() { m.ScanSwaps(0, make([]int, 10)) })
 	expectPanic("negative i", func() { m.ScanSwaps(-1, make([]int, 9)) })
 	expectPanic("i == n", func() { m.ScanSwaps(9, make([]int, 9)) })
+	expectPanic("i == n, short deltas", func() { m.ScanSwaps(9, make([]int, 4)) })
+	expectPanic("negative i, empty deltas", func() { m.ScanSwaps(-1, nil) })
+	m.ScanSwaps(0, make([]int, 8))
+	m.ScanSwaps(8, nil)
 }
 
 // TestScanBlockClamped: ScanBlock is a pure performance knob — any value

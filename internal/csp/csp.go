@@ -65,21 +65,25 @@ type Model interface {
 // ScanModel is the fast-probe extension of Model for engines that probe
 // many swaps per committed move (the Adaptive Search min-conflict scan
 // evaluates n−1 candidates and commits one). It exposes move evaluation as
-// a read-only cost *delta*, batches a whole row of the swap neighborhood
-// into one pass over the model's incremental state, and lets the caller
-// commit the winning swap without the model recomputing the delta it just
-// reported:
+// a read-only cost *delta*, batches a row of the swap neighborhood (or
+// just its suffix from some j on) into one pass over the model's
+// incremental state, and lets the caller commit the winning swap without
+// the model recomputing the delta it just reported:
 //
 //	SwapDelta(i, j)        ≡ CostIfSwap(i, j) − Cost(), with NO writes to
 //	                         any internal state (read-only probe);
-//	ScanSwaps(i, deltas)   ≡ deltas[j] = SwapDelta(i, j) for every j
-//	                         (deltas[i] = 0), with no OBSERVABLE state
-//	                         change: cost, per-variable errors and every
-//	                         future probe answer are exactly as if the
-//	                         scan never ran. (An implementation may
-//	                         settle internal caches — e.g. refresh a
-//	                         lazily-maintained acceleration structure —
-//	                         but nothing visible through the interface.)
+//	ScanSwaps(i, deltas)   ≡ deltas[k] = SwapDelta(i, lo+k) for every k,
+//	                         where lo = Size() − len(deltas): deltas is a
+//	                         suffix view of the row (full length = the
+//	                         whole row, deltas[i] = 0), and only the
+//	                         candidates [lo, Size()) are computed. No
+//	                         OBSERVABLE state changes: cost, per-variable
+//	                         errors and every future probe answer are
+//	                         exactly as if the scan never ran. (An
+//	                         implementation may settle internal caches —
+//	                         e.g. refresh a lazily-maintained acceleration
+//	                         structure — but nothing visible through the
+//	                         interface.)
 //	CommitSwap(i, j, d)    ≡ ExecSwap(i, j), but trusts d == SwapDelta(i, j)
 //	                         and skips the delta recomputation.
 //
@@ -105,10 +109,12 @@ type ScanModel interface {
 	CommitSwap(i, j, delta int)
 
 	// ScanSwaps computes, in one pass, the global-cost change that
-	// swapping position i with every other position would cause, writing
-	// SwapDelta(i, j) into deltas[j] for all j (deltas[i] = 0). It must
-	// not change any observable state (internal caches may be refreshed).
-	// It panics if len(deltas) != Size().
+	// swapping position i with each position j ≥ lo would cause, where
+	// lo = Size() − len(deltas), writing SwapDelta(i, lo+k) into
+	// deltas[k]. A full-length deltas is the whole row (deltas[i] = 0);
+	// a shorter one is its suffix view, and the candidates below lo are
+	// not computed. It must not change any observable state (internal
+	// caches may be refreshed). It panics if len(deltas) > Size().
 	ScanSwaps(i int, deltas []int)
 }
 

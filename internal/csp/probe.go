@@ -1,8 +1,8 @@
 package csp
 
 // Probe is the one swap-probe API every engine drives. It resolves the
-// model's tier once, at construction: a ScanModel answers a whole row of
-// the swap neighborhood with one ScanSwaps pass and commits through
+// model's tier once, at construction: a ScanModel answers a row of the
+// swap neighborhood with one ScanSwaps pass and commits through
 // CommitSwap; any other Model is probed with CostIfSwap − Cost and
 // committed through ExecSwap. Both tiers give identical deltas (the
 // ScanModel contract), so an engine's trajectory does not depend on which
@@ -26,12 +26,13 @@ func NewProbe(m Model, deltas []int) Probe {
 
 // Row returns the swap deltas of position i: row[j] = CostIfSwap(i, j) −
 // Cost() for every j ≥ lo, j ≠ i. Other entries are unspecified. The
-// slice is the Probe's scratch, valid until the next Row call. A plain
-// model pays one CostIfSwap per entry from lo on, so an engine scanning
-// only the j > i half of the quadratic neighborhood passes lo = i+1.
+// slice is the Probe's scratch, valid until the next Row call. Both tiers
+// pay only from lo on — a ScanModel scans the suffix view deltas[lo:], a
+// plain model makes one CostIfSwap per entry — so an engine scanning only
+// the j > i half of the quadratic neighborhood passes lo = i+1.
 func (p *Probe) Row(i, lo int) []int {
 	if p.sm != nil {
-		p.sm.ScanSwaps(i, p.deltas)
+		p.sm.ScanSwaps(i, p.deltas[lo:])
 		return p.deltas
 	}
 	return p.plainRow(i, lo)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/costas"
 	"repro/internal/csp"
 	"repro/internal/rng"
 )
@@ -91,6 +92,40 @@ func TestProbePlainRowStartsAtLo(t *testing.T) {
 		}
 		if want := (n*n - n) / 2; m.calls != want {
 			t.Errorf("%s: upper-half scan made %d CostIfSwap calls, want %d", cm.name, m.calls, want)
+		}
+	}
+}
+
+// scanCountingModel keeps costas's fast tier and sums the candidates its
+// ScanSwaps calls are asked for.
+type scanCountingModel struct {
+	*costas.Model
+	requested int
+}
+
+func (c *scanCountingModel) ScanSwaps(i int, deltas []int) {
+	c.requested += len(deltas)
+	c.Model.ScanSwaps(i, deltas)
+}
+
+// TestProbeScanRowStartsAtLo: the ScanModel tier also pays only from lo —
+// Row hands ScanSwaps the suffix view, so an upper-half scan requests
+// (n²−n)/2 candidates, not n² — while a full row still requests all n.
+func TestProbeScanRowStartsAtLo(t *testing.T) {
+	for _, n := range []int{2, 13, 33} {
+		m := &scanCountingModel{Model: costas.New(n, costas.Options{})}
+		m.Bind(csp.RandomConfiguration(n, rng.New(3)))
+		p := csp.NewProbe(m, make([]int, n))
+		for i := 0; i < n-1; i++ {
+			p.Row(i, i+1)
+		}
+		if want := (n*n - n) / 2; m.requested != want {
+			t.Errorf("n=%d: upper-half scan requested %d candidates, want %d", n, m.requested, want)
+		}
+		m.requested = 0
+		p.Row(n/2, 0)
+		if m.requested != n {
+			t.Errorf("n=%d: full row requested %d candidates, want %d", n, m.requested, n)
 		}
 	}
 }

@@ -39,7 +39,7 @@ type Solver struct {
 	r      *rng.RNG
 
 	cfg       []int
-	tabu      [][]int64 // tabu[i][j]: iteration until which swapping values i,j is tabu
+	tabu      []int64 // tabu[vi*n+vj]: iteration until which swapping values vi < vj is tabu
 	bestCost  int
 	best      []int
 	stall     int64
@@ -70,10 +70,7 @@ func New(model csp.Model, params Params, seed uint64) *Solver {
 		params: params,
 		r:      rng.New(seed),
 		probe:  csp.NewProbe(model, make([]int, n)),
-		tabu:   make([][]int64, n),
-	}
-	for i := range s.tabu {
-		s.tabu[i] = make([]int64, n)
+		tabu:   make([]int64, n*n),
 	}
 	s.cfg = csp.RandomConfiguration(n, s.r)
 	model.Bind(s.cfg)
@@ -150,7 +147,7 @@ func (s *Solver) iterate() bool {
 			if vi > vj {
 				vi, vj = vj, vi
 			}
-			isTabu := s.tabu[vi][vj] > now
+			isTabu := s.tabu[vi*n+vj] > now
 			// Aspiration: a tabu move that beats the global best is
 			// always admissible.
 			if isTabu && c >= s.bestCost {
@@ -171,7 +168,7 @@ func (s *Solver) iterate() bool {
 	if vi > vj {
 		vi, vj = vj, vi
 	}
-	s.tabu[vi][vj] = now + int64(s.params.TenureBase+s.r.Intn(s.params.TenureSpread))
+	s.tabu[vi*n+vj] = now + int64(s.params.TenureBase+s.r.Intn(s.params.TenureSpread))
 	if aspired {
 		s.stats.Aspirations++
 	}
@@ -207,11 +204,7 @@ func (s *Solver) RestartFrom(cfg []int) {
 	s.stats.Restarts++
 	copy(s.cfg, cfg)
 	s.model.Bind(s.cfg)
-	for i := range s.tabu {
-		for j := range s.tabu[i] {
-			s.tabu[i][j] = 0
-		}
-	}
+	clear(s.tabu)
 	s.stall = 0
 	if c := s.model.Cost(); c < s.bestCost {
 		s.bestCost = c
@@ -225,11 +218,7 @@ var _ csp.Restartable = (*Solver)(nil)
 // diversify clears the tabu structure and re-randomises the configuration.
 func (s *Solver) diversify() {
 	s.stats.Restarts++
-	for i := range s.tabu {
-		for j := range s.tabu[i] {
-			s.tabu[i][j] = 0
-		}
-	}
+	clear(s.tabu)
 	s.r.PermInto(s.cfg)
 	s.model.Bind(s.cfg)
 }
