@@ -44,6 +44,7 @@ import (
 	"repro/internal/costas"
 	"repro/internal/csp"
 	"repro/internal/dialectic"
+	"repro/internal/hillclimb"
 	"repro/internal/rng"
 	"repro/internal/tabu"
 	"repro/internal/walk"
@@ -182,16 +183,30 @@ func runAll(benchtime string) ([]Result, error) {
 		})
 	}
 
-	// kernel/scan_swaps_n96_b* — the ScanBlock sweep on a wide instance
-	// (n = 96 takes the gather path: rows wider than one machine word, so
-	// chunking the candidate set is what keeps the delta slab hot). The
-	// sweep documents the block-size tradeoff DefaultScanBlock was picked
-	// from; every block size computes bit-identical deltas.
-	for _, blk := range []int{16, 48, 96} {
-		m := costas.New(96, costas.Options{ScanBlock: blk})
+	// kernel/scan_suffixes_n18 — the half neighborhood tabu search and
+	// dialectic descent scan: one op is ScanSwaps(i, deltas[i+1:]) for
+	// every i, the (n²−n)/2 candidates j > i in n−1 ever shorter suffix
+	// rows, so the per-row setup weighs as much as the sweep.
+	{
+		m := costas.New(18, costas.Options{})
+		m.Bind(csp.RandomConfiguration(18, rng.New(1)))
+		deltas := make([]int, 18)
+		steady("kernel/scan_suffixes_n18", func(k int) {
+			for i := 0; i < 18; i++ {
+				m.ScanSwaps(i, deltas[i+1:])
+			}
+			sink += deltas[(k+1)%18]
+		})
+	}
+
+	// kernel/scan_swaps_n96 — a full row on a wide instance: n = 96 rows
+	// are wider than one machine word, so this is the counter-gather
+	// sweep rather than the SWAR one.
+	{
+		m := costas.New(96, costas.Options{})
 		m.Bind(csp.RandomConfiguration(96, rng.New(1)))
 		deltas := make([]int, 96)
-		steady(fmt.Sprintf("kernel/scan_swaps_n96_b%d", blk), func(k int) {
+		steady("kernel/scan_swaps_n96", func(k int) {
 			m.ScanSwaps(k%96, deltas)
 			sink += deltas[(k+1)%96]
 		})
@@ -218,7 +233,8 @@ func runAll(benchtime string) ([]Result, error) {
 
 	// engine/*_steady_n18 — one Step(1) of an engine's post-Bind loop,
 	// restarts included: an Adaptive Search repair iteration, a tabu scan
-	// of the quadratic neighborhood plus its move, a dialectic round.
+	// of the quadratic neighborhood plus its move, a dialectic round, one
+	// sampled hill-climbing probe (committed when it improves).
 	for _, eng := range []struct {
 		name string
 		e    csp.Restartable
@@ -226,6 +242,7 @@ func runAll(benchtime string) ([]Result, error) {
 		{"engine/adaptive_steady_n18", adaptive.NewEngine(costas.New(18, costas.Options{}), costas.TunedParams(18), 7)},
 		{"engine/tabu_steady_n18", tabu.New(costas.New(18, costas.Options{}), tabu.Params{}, 7)},
 		{"engine/dialectic_steady_n18", dialectic.New(costas.New(18, costas.Options{}), dialectic.Params{}, 7)},
+		{"engine/hillclimb_steady_n18", hillclimb.New(costas.New(18, costas.Options{}), hillclimb.Params{}, 7)},
 	} {
 		e := eng.e
 		scratch := make([]int, 18)

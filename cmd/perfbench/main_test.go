@@ -38,9 +38,10 @@ func TestRunAllSmoke(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		"kernel/swap_delta_n18", "kernel/scan_swaps_n18",
-		"kernel/scan_swaps_n96_b16", "kernel/scan_swaps_n96_b48", "kernel/scan_swaps_n96_b96",
+		"kernel/swap_delta_n18", "kernel/scan_swaps_n18", "kernel/scan_suffixes_n18",
+		"kernel/scan_swaps_n96",
 		"engine/adaptive_steady_n18", "engine/tabu_steady_n18", "engine/dialectic_steady_n18",
+		"engine/hillclimb_steady_n18",
 		"table1/sequential_n13",
 	} {
 		if !seen[name] {

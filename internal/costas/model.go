@@ -50,14 +50,6 @@ type Options struct {
 	// §IV-B2, falling back to the engine's generic percentage reset
 	// (≈3.7× slower, used by the ablation bench).
 	GenericReset bool
-	// ScanBlock chunks the candidate range of the batched neighborhood
-	// scan (ScanSwaps) so its per-candidate scratch slabs stay in L1 while
-	// the difference triangle is re-walked once per chunk — the memory-vs-
-	// speed block-size knob of the scan kernel (see DESIGN.md §6). 0
-	// selects DefaultScanBlock (picked by the perfbench block sweep);
-	// values are clamped to [1, n]. The knob only trades speed for memory
-	// locality: every block size computes bit-identical deltas.
-	ScanBlock int
 }
 
 // Model is the CAP as a csp.Model with O(n) incremental move evaluation.
@@ -102,22 +94,15 @@ type Model struct {
 
 	// Scratch space (no allocation on the hot path; capacities are fixed
 	// at construction and never grow — see TestScratchCapacityBounded).
-	// All []int scratch shares one backing arena, and the int32 slabs
-	// share cnt's, so a whole Model costs 4 heap allocations — the
-	// per-solve setup cost the table1 bench records (see
-	// TestPerSolveSetupAllocBudget).
+	// All []int scratch shares one backing arena, and pairX shares cnt's,
+	// so a whole Model costs 4 heap allocations — the per-solve setup
+	// cost the table1 bench records (see TestPerSolveSetupAllocBudget).
 	cand      []int // candidate configuration built by Reset
 	best      []int // best candidate seen by Reset
 	errVars   []int // indices of erroneous variables (Reset perturbation 3)
 	resetKs   []int // circular-addition constants of §IV-B2, precomputed
 	seenReset []int // per-row seen marks for scanCost; value = generation tag
 	seenGen   int
-
-	// Batched neighborhood-scan state (ScanSwaps): candidate chunk size
-	// plus the per-chunk delta accumulator slab — int32, so one block's
-	// working set is 4·ScanBlock bytes on top of the triangle rows.
-	scanBlock int
-	scanAcc   []int32 // per-candidate accumulated delta (one block)
 
 	// Bit-plane cache of the counter matrix for the SWAR scan sweep,
 	// allocated only when the row width fits one machine word (n ≤ 32 —
@@ -148,26 +133,18 @@ func New(n int, opts Options) *Model {
 		depth = n - 1
 	}
 	width := 2*n - 1
-	sb := opts.ScanBlock
-	if sb <= 0 {
-		sb = DefaultScanBlock
-	}
-	if sb > n {
-		sb = n
-	}
 	m := &Model{
 		n:            n,
 		depth:        depth,
 		genericReset: opts.GenericReset,
-		scanBlock:    sb,
 	}
 	// One arena per element type: every []int scratch is a full-capacity
 	// sub-slice of ints (so no slice can grow into its neighbour — the
-	// capacities TestScratchCapacityBounded pins are real), and the int32
-	// slab of the scan kernel rides on the counter block's allocation.
-	// This keeps a whole Model at 4 heap allocations (3 when n > 32 and
-	// the plane cache is absent); table1's per-solve setup cost is pinned
-	// by TestPerSolveSetupAllocBudget.
+	// capacities TestScratchCapacityBounded pins are real), and pairX
+	// rides on the counter block's allocation. This keeps a whole Model at
+	// 4 heap allocations (3 when n > 32 and the plane cache is absent);
+	// table1's per-solve setup cost is pinned by
+	// TestPerSolveSetupAllocBudget.
 	ints := make([]int, 3*(depth+1)+4*n+4+(depth+1)*width)
 	carve := func(k int) []int {
 		s := ints[:k:k]
@@ -184,10 +161,9 @@ func New(n int, opts Options) *Model {
 	m.seenReset = carve((depth + 1) * width)
 	m.planeGen = carve(depth + 1)
 	cells := depth * width
-	lanes := make([]int32, 2*cells+sb)
+	lanes := make([]int32, 2*cells)
 	m.cnt = lanes[:cells:cells]
-	m.pairX = lanes[cells : 2*cells : 2*cells]
-	m.scanAcc = lanes[2*cells:]
+	m.pairX = lanes[cells:]
 	if width <= 64 {
 		m.planes = make([]uint64, 3*depth)
 	}

@@ -14,9 +14,11 @@ import "repro/internal/adaptive"
 //     in expectation (§V-B);
 //   - plateau probability 0.90 as in §III-B1.
 //
-// With these settings the sequential iteration counts land in the same
-// regime as the paper's Table I (e.g. ≈12 k iterations on average for
-// n = 16, paper: 12,665).
+// These settings do not reproduce the paper's Table I iteration counts.
+// Over 100 sequential runs at n = 16 (paperbench's sequential seeding)
+// they average 31,073 iterations (median 18,536, min 601), about 2.4×
+// the paper's 12,665 (min 212); quadratic weights average 30,504, and
+// PaperParams with quadratic weights 98,758.
 func TunedParams(n int) adaptive.Params {
 	p := adaptive.DefaultParams()
 	p.ProbSelectLocMin = 0.35

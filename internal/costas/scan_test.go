@@ -7,33 +7,13 @@ import (
 	"repro/internal/rng"
 )
 
-// scanOptionGrid is the Options × ScanBlock matrix the scan-identity tests
-// sweep: both error functions, both triangle depths, and block sizes from
-// degenerate (1) through non-divisor odd sizes to the bench-picked default.
-func scanOptionGrid() []Options {
-	var grid []Options
-	for _, base := range []Options{
-		{},
-		{Err: ErrQuadratic},
-		{FullTriangle: true},
-		{Err: ErrQuadratic, FullTriangle: true},
-	} {
-		for _, sb := range []int{0, 1, 3, 7} {
-			o := base
-			o.ScanBlock = sb
-			grid = append(grid, o)
-		}
-	}
-	return grid
-}
-
 // TestScanSwapsMatchesSwapDelta pins the ScanModel identity exhaustively:
 // ScanSwaps(i)[j] == SwapDelta(i, j) for every (i, j), across orders
-// (including n ≥ 33 where the collision bitmask folds), option variants and
-// block sizes, over random walks so counters hit collision-rich states.
+// (including n ≥ 33 where the collision bitmask folds) and option variants,
+// over random walks so counters hit collision-rich states.
 func TestScanSwapsMatchesSwapDelta(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 8, 13, 14, 20, 33, 40} {
-		for _, opts := range scanOptionGrid() {
+		for _, opts := range costasVariants {
 			m, _, r := newBound(n, opts, uint64(100+n))
 			deltas := make([]int, n)
 			walks := 12
@@ -66,7 +46,9 @@ func TestScanSwapsNearSolution(t *testing.T) {
 		t.Fatal("no constructed Costas array of order 12")
 	}
 	r := rng.New(7)
-	for _, opts := range scanOptionGrid() {
+	for k := 0; k < 4*len(costasVariants); k++ {
+		// Four walks from the solution per variant, one RNG stream.
+		opts := costasVariants[k/4]
 		m := New(12, opts)
 		cfg := csp.Clone(sol)
 		m.Bind(cfg)
@@ -126,16 +108,13 @@ func TestScanSwapsReadOnly(t *testing.T) {
 // and every lo ∈ [0, n], ScanSwaps(i, buf[lo:]) writes exactly the full
 // scan's deltas for j ≥ lo, leaves the prefix buf[:lo] alone, changes no
 // observable state, and an empty view is a no-op — across the SWAR/gather
-// boundary, both error weights and triangle depths, and block sizes that
-// split the suffix at odd places.
+// boundary, both error weights and triangle depths, three states each.
 func TestScanSwapsSuffixMatchesFull(t *testing.T) {
 	const sentinel = -1 << 40
 	for _, n := range []int{2, 3, 13, 16, 32, 33, 40} {
-		for _, base := range costasVariants {
-			for _, sb := range []int{1, 5, 0} {
-				opts := base
-				opts.ScanBlock = sb
-				m, _, _ := newBound(n, opts, uint64(7*n+sb))
+		for _, opts := range costasVariants {
+			for _, seed := range []int{1, 5, 0} {
+				m, _, _ := newBound(n, opts, uint64(7*n+seed))
 				cnt := append([]int32(nil), m.cnt...)
 				cost := m.Cost()
 				varCost := make([]int, n)
@@ -180,6 +159,93 @@ func TestScanSwapsSuffixMatchesFull(t *testing.T) {
 	}
 }
 
+// TestScanSpecialCandidateCollisions drives the special candidates j = i ± d
+// into the one case their carry-save removal counter cannot hold: a third
+// removal of one value. For j = i+d that takes the pairs (i−d, i), (i, i+d)
+// and (i+d, i+2d) holding one difference; for j = i−d the mirror triple
+// (i−2d, i−d), (i−d, i), (i, i+d), which ends at i+d. Each configuration
+// puts four positions s, s+d, s+2d, s+3d in arithmetic progression — so
+// i = s+d has the first triple and i = s+2d the second — and fills the rest
+// at random. Full and suffix scans must match SwapDelta for every
+// candidate, on both sweeps (n = 33 is the gather path), both weightings
+// and both triangle depths.
+func TestScanSpecialCandidateCollisions(t *testing.T) {
+	r := rng.New(2024)
+	for _, n := range []int{8, 16, 32, 33} {
+		for _, opts := range costasVariants {
+			m := New(n, opts)
+			cfg := make([]int, n)
+			full, buf := make([]int, n), make([]int, n)
+			exactlyThree := 0
+			for trial := 0; trial < 40; trial++ {
+				d := 1 + r.Intn(min(m.depth, (n-1)/3))
+				s := r.Intn(n - 3*d)
+				a := 1 + r.Intn((n-1)/3)
+				v0, step := r.Intn(n-3*a), a
+				if r.Bool() {
+					v0, step = v0+3*a, -a
+				}
+				used := make([]bool, n)
+				for k := range cfg {
+					cfg[k] = -1
+				}
+				for k := 0; k < 4; k++ {
+					cfg[s+k*d] = v0 + k*step
+					used[v0+k*step] = true
+				}
+				var rest []int
+				for v, u := range used {
+					if !u {
+						rest = append(rest, v)
+					}
+				}
+				perm := r.Perm(len(rest))
+				for k := range cfg {
+					if cfg[k] < 0 {
+						cfg[k], perm = rest[perm[0]], perm[1:]
+					}
+				}
+				m.Bind(cfg)
+				held := 0
+				for p := 0; p+d < n; p++ {
+					if cfg[p+d]-cfg[p] == step {
+						held++
+					}
+				}
+				if held == 3 {
+					exactlyThree++
+				}
+
+				for i := 0; i < n; i++ {
+					m.ScanSwaps(i, full)
+					for j := 0; j < n; j++ {
+						if want := m.SwapDelta(i, j); full[j] != want {
+							t.Fatalf("n=%d opts=%+v: ScanSwaps(%d)[%d] = %d, SwapDelta = %d (cfg=%v)",
+								n, opts, i, j, full[j], want, cfg)
+						}
+					}
+				}
+				for _, i := range []int{s + d, s + 2*d} {
+					for lo := 0; lo <= n; lo++ {
+						m.ScanSwaps(i, buf[lo:])
+						for j := lo; j < n; j++ {
+							if want := m.SwapDelta(i, j); buf[j] != want {
+								t.Fatalf("n=%d opts=%+v: ScanSwaps(%d, buf[%d:]) left buf[%d] = %d, SwapDelta = %d (cfg=%v)",
+									n, opts, i, lo, j, buf[j], want, cfg)
+							}
+						}
+					}
+				}
+			}
+			// The counter's overflow changes the answer only when the three
+			// pairs are the value's only holders; make sure that was hit.
+			if exactlyThree == 0 {
+				t.Fatalf("n=%d opts=%+v: no configuration held its difference exactly three times", n, opts)
+			}
+		}
+	}
+}
+
 // TestScanSwapsPanics: the batch probe validates its arguments like the rest
 // of the model API. A short deltas is a legal suffix view; a long one, or a
 // position out of range, is not — even with an empty view.
@@ -200,32 +266,6 @@ func TestScanSwapsPanics(t *testing.T) {
 	expectPanic("negative i, empty deltas", func() { m.ScanSwaps(-1, nil) })
 	m.ScanSwaps(0, make([]int, 8))
 	m.ScanSwaps(8, nil)
-}
-
-// TestScanBlockClamped: ScanBlock is a pure performance knob — any value
-// (including larger than n) yields the same deltas, and the stored block
-// size never exceeds n.
-func TestScanBlockClamped(t *testing.T) {
-	const n = 10
-	ref := New(n, Options{})
-	big := New(n, Options{ScanBlock: 1 << 20})
-	if big.scanBlock != n {
-		t.Fatalf("ScanBlock %d not clamped to n=%d: got %d", 1<<20, n, big.scanBlock)
-	}
-	r := rng.New(99)
-	cfg := csp.RandomConfiguration(n, r)
-	ref.Bind(csp.Clone(cfg))
-	big.Bind(csp.Clone(cfg))
-	dr, db := make([]int, n), make([]int, n)
-	for i := 0; i < n; i++ {
-		ref.ScanSwaps(i, dr)
-		big.ScanSwaps(i, db)
-		for j := range dr {
-			if dr[j] != db[j] {
-				t.Fatalf("ScanSwaps(%d)[%d] differs across block sizes: %d vs %d", i, j, dr[j], db[j])
-			}
-		}
-	}
 }
 
 func BenchmarkScanSwaps(b *testing.B) {

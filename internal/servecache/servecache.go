@@ -118,7 +118,11 @@ func (c *Cache) Get(key string) (any, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.m[key]
+	var val any
 	if ok {
+		// Copy the value under the lock: Put of the same key rewrites
+		// e.val in place.
+		val = e.val
 		s.moveToFront(e)
 	}
 	s.mu.Unlock()
@@ -127,7 +131,7 @@ func (c *Cache) Get(key string) (any, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return e.val, true
+	return val, true
 }
 
 // Put stores val under key, evicting the shard's least recently used
