@@ -101,5 +101,5 @@ func runAblation(sc Scale) {
 	note("")
 	note("documented deviation: in this Go implementation the unit error function")
 	note("outperforms the paper's quadratic weighting; the Chang-bound and custom-")
-	note("reset directions match the paper. See EXPERIMENTS.md for discussion.")
+	note("reset directions match the paper. DESIGN.md §3 indexes the experiments.")
 }

@@ -2,7 +2,8 @@ package main
 
 // This file transcribes the paper's published numbers (Tables I–V and the
 // headline figures) so every experiment can print "paper vs measured" side
-// by side, and EXPERIMENTS.md can be regenerated from one run.
+// by side; one run's output is the whole measured-vs-paper record, indexed
+// in DESIGN.md §3.
 
 // paperTable1Row is one row of Table I (sequential evaluation, 100 runs on
 // a Xeon W5580 3.2 GHz).

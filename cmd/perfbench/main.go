@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -82,7 +83,10 @@ type Result struct {
 	QPS     float64 `json:"qps,omitempty"`
 }
 
-// File is the top-level BENCH_costas.json document.
+// File is the top-level BENCH_costas.json document. CPUModel, GOMAXPROCS
+// and GOAMD64 identify the machine the ns_op figures come from, so two
+// files can be told apart as same-machine or not; a file recorded before
+// they existed lacks them.
 type File struct {
 	Schema     string   `json:"schema"`
 	Generated  string   `json:"generated"`
@@ -90,8 +94,39 @@ type File struct {
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
 	CPUs       int      `json:"cpus"`
+	CPUModel   string   `json:"cpu_model,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	GOAMD64    string   `json:"goamd64,omitempty"`
 	Benchtime  string   `json:"benchtime"`
 	Benchmarks []Result `json:"benchmarks"`
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "" where
+// there is no such file.
+func cpuModel() string {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
+// goamd64 returns the GOAMD64 level the binary was built for, from its
+// build settings ("" off amd64 or without build info).
+func goamd64() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, st := range bi.Settings {
+			if st.Key == "GOAMD64" {
+				return st.Value
+			}
+		}
+	}
+	return ""
 }
 
 var sink int // defeats dead-code elimination in the microbenches
@@ -229,6 +264,17 @@ func runAll(benchtime string) ([]Result, error) {
 		m := costas.New(18, costas.Options{})
 		cfg := csp.RandomConfiguration(18, rng.New(1))
 		steady("kernel/bind_n18", func(int) { m.Bind(cfg) })
+	}
+
+	// kernel/cost_of_n18 — scoring a configuration without rebinding
+	// (CostOf, dialectic's synthesis path): one row presence mask and
+	// popcount per checked triangle row. Compare with kernel/bind_n18.
+	{
+		m := costas.New(18, costas.Options{})
+		r := rng.New(1)
+		m.Bind(csp.RandomConfiguration(18, r))
+		cfg := csp.RandomConfiguration(18, r)
+		steady("kernel/cost_of_n18", func(int) { sink += m.CostOf(cfg) })
 	}
 
 	// engine/*_steady_n18 — one Step(1) of an engine's post-Bind loop,
@@ -504,6 +550,9 @@ func main() {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		CPUs:       runtime.NumCPU(),
+		CPUModel:   cpuModel(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GOAMD64:    goamd64(),
 		Benchtime:  bt,
 		Benchmarks: fileRows,
 	}

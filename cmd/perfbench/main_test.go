@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -39,7 +41,7 @@ func TestRunAllSmoke(t *testing.T) {
 	}
 	for _, name := range []string{
 		"kernel/swap_delta_n18", "kernel/scan_swaps_n18", "kernel/scan_suffixes_n18",
-		"kernel/scan_swaps_n96",
+		"kernel/scan_swaps_n96", "kernel/cost_of_n18",
 		"engine/adaptive_steady_n18", "engine/tabu_steady_n18", "engine/dialectic_steady_n18",
 		"engine/hillclimb_steady_n18",
 		"table1/sequential_n13",
@@ -50,6 +52,18 @@ func TestRunAllSmoke(t *testing.T) {
 	}
 	if steady == 0 {
 		t.Error("no steady-state benchmarks: the -smoke allocation gate is vacuous")
+	}
+}
+
+// TestMachineIdentity: where /proc/cpuinfo names the CPU, the header's
+// cpu_model carries it.
+func TestMachineIdentity(t *testing.T) {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil || !strings.Contains(string(raw), "model name") {
+		t.Skip("no CPU model name on this platform")
+	}
+	if m := cpuModel(); m == "" || !strings.Contains(string(raw), m) {
+		t.Errorf("cpuModel() = %q, not a model name from /proc/cpuinfo", m)
 	}
 }
 

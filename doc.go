@@ -53,6 +53,7 @@
 //   - bench_test.go (this directory) — testing.B benchmarks, one per
 //     table/figure, plus the §IV-B ablations.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for measured-vs-paper results.
+// See README.md for a tour and DESIGN.md for the system inventory; the
+// measured-vs-paper results are cmd/paperbench's output (every experiment
+// prints both), indexed in DESIGN.md §3.
 package repro

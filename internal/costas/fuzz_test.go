@@ -9,6 +9,9 @@ package costas
 //   - cost == 0 exactly when the configuration is a Costas array;
 //   - CostIfSwap agrees with a from-scratch recomputation of the swapped
 //     configuration and leaves no visible state behind;
+//   - CostOf scores the swapped and the bound configuration exactly as a
+//     from-scratch rebuild does, without writing a counter (the
+//     csp.ScanModel CostOf identity dialectic's synthesis path rests on);
 //   - SwapDelta(i, j) == CostIfSwap(i, j) − Cost() (the csp.ScanModel
 //     delta identity) and a probe leaves every difference-triangle counter
 //     bit-for-bit untouched (the kernel is genuinely read-only — no
@@ -108,6 +111,12 @@ func FuzzCostasCost(f *testing.F) {
 			copy(cntSnapshot, m.cnt)
 			if got := m.CostIfSwap(i, j); got != want {
 				t.Fatalf("CostIfSwap(%d,%d) = %d, full recompute %d (cfg %v)", i, j, got, want, cfg)
+			}
+			if got := m.CostOf(hyp); got != want {
+				t.Fatalf("CostOf(%v) = %d, full recompute %d (cfg %v)", hyp, got, want, cfg)
+			}
+			if got := m.CostOf(cfg); got != m.Cost() {
+				t.Fatalf("CostOf(bound cfg) = %d, Cost = %d (cfg %v)", got, m.Cost(), cfg)
 			}
 			if got, wantDelta := m.SwapDelta(i, j), want-m.Cost(); got != wantDelta {
 				t.Fatalf("SwapDelta(%d,%d) = %d, CostIfSwap−Cost = %d (cfg %v)", i, j, got, wantDelta, cfg)

@@ -28,8 +28,9 @@ const (
 	// ErrUnit is ERR(d) = 1: the basic model that simply counts repeats.
 	// It is the default because, with this repository's engine dynamics,
 	// it measures consistently faster than the quadratic weighting (see
-	// the ablation benches and EXPERIMENTS.md; this is a documented
-	// deviation from the paper's ≈17 % claim for its C implementation).
+	// the ablation benches and paperbench's ablation output; this is a
+	// documented deviation from the paper's ≈17 % claim for its C
+	// implementation).
 	ErrUnit ErrFunc = iota
 	// ErrQuadratic is ERR(d) = n²−d², the paper's tuned weight: it
 	// penalises errors in the first rows (those containing more
@@ -592,11 +593,23 @@ func (m *Model) planeRebuildRow(d int) {
 	}
 }
 
+// CostOf implements csp.ScanModel: the cost cfg would have once bound,
+// scored by scanCost without a bound, so the model's binding, counters and
+// bit planes are left as they were. Dialectic scores its synthesis path
+// through it.
+func (m *Model) CostOf(cfg []int) int {
+	if len(cfg) != m.n {
+		panic(fmt.Sprintf("costas: CostOf with configuration of length %d, want %d", len(cfg), m.n))
+	}
+	return m.scanCost(cfg, int(^uint(0)>>1))
+}
+
 // scanCost computes the global cost of an arbitrary configuration without
-// touching the model's incremental state — used to evaluate the candidate
-// perturbations generated by Reset. O(n·depth). Once the partial cost
-// exceeds bound it returns early with that partial cost: any return value
-// above bound means "more than bound", which is all Reset needs to know.
+// touching the model's incremental state — used by CostOf and to evaluate
+// the candidate perturbations generated by Reset. O(n·depth). Once the
+// partial cost exceeds bound it returns early with that partial cost: any
+// return value above bound means "more than bound", which is all Reset
+// needs to know.
 //
 // When a row of the difference triangle fits one machine word (n ≤ 32, the
 // same condition that enables the bit-plane scan cache) it uses the scan

@@ -1,6 +1,7 @@
 package costas
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -42,6 +43,69 @@ func TestBindCostMatchesNaive(t *testing.T) {
 			want := naiveCost(cfg, m.depth, m.w)
 			if got := m.Cost(); got != want {
 				t.Errorf("n=%d opts=%+v: Bind cost %d, naive %d", n, opts, got, want)
+			}
+		}
+	}
+}
+
+// TestCostOfMatchesBind pins the csp.ScanModel CostOf identity on both
+// kernel shapes (one-word SWAR rows for n ≤ 32, the seen-array path above)
+// and all four model variants: CostOf(cfg) is the cost Bind(cfg) leaves,
+// and scoring changes nothing observable — Cost, every VarCost, the bound
+// configuration and a ScanSwaps row stay as they were, and a commit after
+// it still lands on a full rebuild's cost.
+func TestCostOfMatchesBind(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for _, opts := range costasVariants {
+			m, cfg, r := newBound(n, opts, uint64(1000+n))
+			ref := New(n, opts)
+			bound := csp.Clone(cfg)
+			varBefore := make([]int, n)
+			rowBefore, row := make([]int, n), make([]int, n)
+			for trial := 0; trial < 6; trial++ {
+				cost := m.Cost()
+				for v := range varBefore {
+					varBefore[v] = m.VarCost(v)
+				}
+				i := r.Intn(n)
+				m.ScanSwaps(i, rowBefore)
+
+				probe := csp.RandomConfiguration(n, r)
+				if trial == 0 {
+					copy(probe, cfg) // the bound configuration scores as Cost
+				}
+				probeBefore := csp.Clone(probe)
+				got := m.CostOf(probe)
+				ref.Bind(csp.Clone(probe))
+				if want := ref.Cost(); got != want {
+					t.Fatalf("n=%d opts=%+v trial %d: CostOf(%v) = %d, Bind cost %d", n, opts, trial, probe, got, want)
+				}
+				if !slices.Equal(probe, probeBefore) {
+					t.Fatalf("n=%d opts=%+v trial %d: CostOf rewrote its argument", n, opts, trial)
+				}
+				if m.Cost() != cost {
+					t.Fatalf("n=%d opts=%+v trial %d: CostOf moved Cost %d → %d", n, opts, trial, cost, m.Cost())
+				}
+				for v, want := range varBefore {
+					if got := m.VarCost(v); got != want {
+						t.Fatalf("n=%d opts=%+v trial %d: CostOf moved VarCost(%d) %d → %d", n, opts, trial, v, want, got)
+					}
+				}
+				if len(m.cfg) == 0 || &m.cfg[0] != &cfg[0] || !slices.Equal(cfg, bound) {
+					t.Fatalf("n=%d opts=%+v trial %d: CostOf changed the bound configuration", n, opts, trial)
+				}
+				m.ScanSwaps(i, row)
+				if !slices.Equal(row, rowBefore) {
+					t.Fatalf("n=%d opts=%+v trial %d: ScanSwaps(%d) row moved across CostOf: %v → %v", n, opts, trial, i, rowBefore, row)
+				}
+
+				a, b := r.Intn(n), r.Intn(n)
+				m.CommitSwap(a, b, m.SwapDelta(a, b))
+				bound[a], bound[b] = bound[b], bound[a]
+				ref.Bind(csp.Clone(bound))
+				if m.Cost() != ref.Cost() {
+					t.Fatalf("n=%d opts=%+v trial %d: commit after CostOf left cost %d, rebuild %d", n, opts, trial, m.Cost(), ref.Cost())
+				}
 			}
 		}
 	}

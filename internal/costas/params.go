@@ -3,8 +3,8 @@ package costas
 import "repro/internal/adaptive"
 
 // TunedParams returns the Adaptive Search parameters this implementation
-// measures best for the CAP of order n. They are the product of the grid
-// search recorded in EXPERIMENTS.md (ablations section):
+// measures best for the CAP of order n. They are the product of a grid
+// search over paperbench's ablation experiment (DESIGN.md §3):
 //
 //   - ResetLimit 3 and ProbSelectLocMin 0.35 diversify local-minimum
 //     handling enough to avoid the reset-cycle pathologies a literal

@@ -18,6 +18,7 @@ package costas
 
 import (
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"repro/internal/adaptive"
@@ -113,7 +114,11 @@ var _ csp.Resetter = plainModel{}
 
 // TestScanProbeMatchesPlainProbe runs each engine twice from the same seed
 // — once on the native ScanModel, once through a wrapper that forces
-// csp.Probe's plain tier — and requires identical cost trajectories.
+// csp.Probe's plain tier — and requires identical trajectories: the same
+// cost and the same full csp.Stats block after every step (so a counter
+// one tier bumps and the other skips, such as dialectic's restore
+// evaluation, fails it), and the same bound configuration and best
+// solution at the end.
 func TestScanProbeMatchesPlainProbe(t *testing.T) {
 	for _, engine := range []string{"adaptive", "tabu", "hillclimb", "dialectic"} {
 		for _, errf := range []ErrFunc{ErrUnit, ErrQuadratic} {
@@ -135,15 +140,19 @@ func TestScanProbeMatchesPlainProbe(t *testing.T) {
 			for k := 0; k < steps; k++ {
 				df := ef.Step(1)
 				ds := es.Step(1)
-				if df != ds || ef.Cost() != es.Cost() ||
-					ef.Stats().Iterations != es.Stats().Iterations {
-					t.Fatalf("%s err=%d step %d: scan probe (solved=%v cost=%d iters=%d) diverged from plain probe (solved=%v cost=%d iters=%d)",
-						engine, errf, k, df, ef.Cost(), ef.Stats().Iterations,
-						ds, es.Cost(), es.Stats().Iterations)
+				if df != ds || ef.Cost() != es.Cost() || ef.Stats() != es.Stats() {
+					t.Fatalf("%s err=%d step %d: scan probe (solved=%v cost=%d stats=%+v) diverged from plain probe (solved=%v cost=%d stats=%+v)",
+						engine, errf, k, df, ef.Cost(), ef.Stats(), ds, es.Cost(), es.Stats())
 				}
 				if df || ef.Exhausted() {
 					break
 				}
+			}
+			if !slices.Equal(fast.cfg, slow.cfg) {
+				t.Fatalf("%s err=%d: final configurations differ: scan %v, plain %v", engine, errf, fast.cfg, slow.cfg)
+			}
+			if fs, ss := ef.Solution(), es.Solution(); !slices.Equal(fs, ss) {
+				t.Fatalf("%s err=%d: best solutions differ: scan %v, plain %v", engine, errf, fs, ss)
 			}
 		}
 	}

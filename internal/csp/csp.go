@@ -67,8 +67,9 @@ type Model interface {
 // evaluates n−1 candidates and commits one). It exposes move evaluation as
 // a read-only cost *delta*, batches a row of the swap neighborhood (or
 // just its suffix from some j on) into one pass over the model's
-// incremental state, and lets the caller commit the winning swap without
-// the model recomputing the delta it just reported:
+// incremental state, lets the caller commit the winning swap without
+// the model recomputing the delta it just reported, and scores a whole
+// configuration without rebinding (dialectic's synthesis path):
 //
 //	SwapDelta(i, j)        ≡ CostIfSwap(i, j) − Cost(), with NO writes to
 //	                         any internal state (read-only probe);
@@ -86,6 +87,11 @@ type Model interface {
 //	                         interface.)
 //	CommitSwap(i, j, d)    ≡ ExecSwap(i, j), but trusts d == SwapDelta(i, j)
 //	                         and skips the delta recomputation.
+//	CostOf(cfg)            ≡ the Cost() Bind(cfg) would leave, with no
+//	                         observable state change: the model stays
+//	                         bound to its configuration, and cost,
+//	                         per-variable errors and every probe answer
+//	                         are as before.
 //
 // The identities are exact, element for element — the conformance, parity
 // and fuzz suites pin them — so implementing ScanModel can never change a
@@ -94,7 +100,8 @@ type Model interface {
 // current configuration; passing anything else silently corrupts the
 // incremental cost. Engines do not type-assert for this interface
 // themselves: they probe through Probe, which resolves the tier once and
-// falls back to CostIfSwap/ExecSwap for plain Models.
+// falls back to CostIfSwap/ExecSwap (and Bind + Cost for CostOf) for plain
+// Models.
 type ScanModel interface {
 	Model
 
@@ -116,6 +123,11 @@ type ScanModel interface {
 	// not computed. It must not change any observable state (internal
 	// caches may be refreshed). It panics if len(deltas) > Size().
 	ScanSwaps(i int, deltas []int)
+
+	// CostOf returns the global cost cfg would have if it were bound,
+	// without binding it: no observable state changes. cfg must be a
+	// permutation of length Size(); the model does not keep it.
+	CostOf(cfg []int) int
 }
 
 // Resetter is implemented by models providing a dedicated escape procedure
@@ -154,12 +166,4 @@ func Clone(cfg []int) []int {
 	out := make([]int, len(cfg))
 	copy(out, cfg)
 	return out
-}
-
-// FullCost recomputes a model's cost from scratch by rebinding a copy of the
-// configuration on a scratch model. It is a testing helper: engines use it
-// to verify incremental costs against ground truth.
-func FullCost(m Model, cfg []int) int {
-	m.Bind(cfg)
-	return m.Cost()
 }

@@ -2,11 +2,12 @@ package csp
 
 // Probe is the one swap-probe API every engine drives. It resolves the
 // model's tier once, at construction: a ScanModel answers a row of the
-// swap neighborhood with one ScanSwaps pass and commits through
-// CommitSwap; any other Model is probed with CostIfSwap − Cost and
-// committed through ExecSwap. Both tiers give identical deltas (the
-// ScanModel contract), so an engine's trajectory does not depend on which
-// tier its model implements — only its cost does.
+// swap neighborhood with one ScanSwaps pass, commits through CommitSwap
+// and scores whole configurations through CostOf; any other Model is
+// probed with CostIfSwap − Cost, committed through ExecSwap and scored by
+// Bind + Cost. Both tiers give identical answers (the ScanModel contract),
+// so an engine's trajectory does not depend on which tier its model
+// implements — only its cost does.
 //
 // A Probe is a small value: engines store it by value and hand it the
 // scratch they already own, so building one allocates nothing.
@@ -56,6 +57,19 @@ func (p *Probe) Delta(i, j int) int {
 		return p.sm.SwapDelta(i, j)
 	}
 	return p.m.CostIfSwap(i, j) - p.m.Cost()
+}
+
+// CostOf returns the cost cfg would have if it were bound. A ScanModel
+// answers without rebinding, so its binding, planes and counters stay as
+// they were and rebound is false. A plain model is bound to cfg and its
+// Cost read; rebound is true, and the caller must Bind its own
+// configuration again before it probes or commits.
+func (p *Probe) CostOf(cfg []int) (cost int, rebound bool) {
+	if p.sm != nil {
+		return p.sm.CostOf(cfg), false
+	}
+	p.m.Bind(cfg)
+	return p.m.Cost(), true
 }
 
 // Commit swaps positions i and j. delta must be the value Row or Delta

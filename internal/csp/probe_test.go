@@ -67,6 +67,41 @@ func TestProbeMatchesCostIfSwap(t *testing.T) {
 	}
 }
 
+// TestProbeCostOf pins csp.Probe's CostOf on every registered model: the
+// score is the cost Bind would leave, the ScanModel tier (costas) reports
+// no rebind and leaves the model bound to its own configuration, and the
+// plain tier reports that it rebound to the scored configuration.
+func TestProbeCostOf(t *testing.T) {
+	for _, cm := range conformanceModels() {
+		m := cm.newModel()
+		ref := cm.newModel()
+		n := m.Size()
+		r := rng.New(5)
+		cfg := csp.RandomConfiguration(n, r)
+		m.Bind(cfg)
+		cost := m.Cost()
+		_, scan := m.(csp.ScanModel)
+		p := csp.NewProbe(m, nil)
+		for trial := 0; trial < 8; trial++ {
+			other := csp.RandomConfiguration(n, r)
+			got, rebound := p.CostOf(other)
+			ref.Bind(csp.Clone(other))
+			if got != ref.Cost() {
+				t.Fatalf("%s trial %d: CostOf = %d, Bind cost %d", cm.name, trial, got, ref.Cost())
+			}
+			if rebound == scan {
+				t.Fatalf("%s trial %d: rebound = %v on a model with ScanModel = %v", cm.name, trial, rebound, scan)
+			}
+			if rebound {
+				m.Bind(cfg)
+			}
+			if m.Cost() != cost {
+				t.Fatalf("%s trial %d: after CostOf (and any rebind) Cost = %d, want %d", cm.name, trial, m.Cost(), cost)
+			}
+		}
+	}
+}
+
 // countingModel hides any fast tier of the wrapped model and counts its
 // CostIfSwap calls.
 type countingModel struct {

@@ -38,9 +38,9 @@ type Params struct {
 }
 
 // Stats is the unified engine counter block (csp.Stats). Dialectic Search
-// fills Iterations (= Rounds, the engine's step unit), Evaluations
-// (CostIfSwap/Bind evaluations, the Table II work unit), Rounds, Descents
-// and Restarts.
+// fills Iterations (= Rounds, the engine's step unit), Evaluations (swap
+// probes, path-point scores and rebinds, the Table II work unit), Rounds,
+// Descents and Restarts.
 type Stats = csp.Stats
 
 // Solver runs Dialectic Search on a permutation model.
@@ -276,7 +276,9 @@ func (s *Solver) synthesize() int {
 	for i, v := range s.scratch {
 		pos[v] = i
 	}
-	// Evaluate path points on a scratch binding; restore afterwards.
+	// Score path points through the probe: a ScanModel keeps the thesis
+	// bound, a plain model is rebound to each point and restored below.
+	rebound := false
 	for i := 0; i < n; i++ {
 		if s.scratch[i] == s.anti[i] {
 			continue
@@ -285,9 +287,10 @@ func (s *Solver) synthesize() int {
 		// Swap positions i and j in scratch.
 		pos[s.scratch[i]], pos[s.scratch[j]] = j, i
 		s.scratch[i], s.scratch[j] = s.scratch[j], s.scratch[i]
-		m.Bind(s.scratch)
+		c, rb := s.probe.CostOf(s.scratch)
+		rebound = rebound || rb
 		s.stats.Evaluations++
-		if c := m.Cost(); c < bestCost {
+		if c < bestCost {
 			bestCost = c
 			copy(s.synth, s.scratch)
 		}
@@ -295,8 +298,12 @@ func (s *Solver) synthesize() int {
 			break
 		}
 	}
-	// Restore the thesis binding.
-	m.Bind(s.cfg)
+	// Restore the thesis binding. The restore counts as an evaluation on
+	// both tiers, so Table II's evaluation column and MaxEvaluations
+	// budgets do not depend on the model's tier.
+	if rebound {
+		m.Bind(s.cfg)
+	}
 	s.stats.Evaluations++
 	if bestCost == int(^uint(0)>>1) {
 		// Antithesis equalled thesis; degenerate, return thesis itself.

@@ -140,9 +140,14 @@ func (s *Solver) iterate() bool {
 	aspired := false
 	for i := 0; i < n-1; i++ {
 		deltas := s.probe.Row(i, i+1)
+		s.stats.Evaluations += int64(n - 1 - i)
 		for j := i + 1; j < n; j++ {
 			c := cur + deltas[j]
-			s.stats.Evaluations++
+			// A move no better than the best so far can never be chosen,
+			// tabu or not, so only would-be winners pay the tabu lookup.
+			if c >= bestMove {
+				continue
+			}
 			vi, vj := s.cfg[i], s.cfg[j]
 			if vi > vj {
 				vi, vj = vj, vi
@@ -153,10 +158,8 @@ func (s *Solver) iterate() bool {
 			if isTabu && c >= s.bestCost {
 				continue
 			}
-			if c < bestMove {
-				bestMove, bestI, bestJ = c, i, j
-				aspired = isTabu
-			}
+			bestMove, bestI, bestJ = c, i, j
+			aspired = isTabu
 		}
 	}
 	if bestI < 0 {
