@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/csp"
-	"repro/internal/servecache"
 )
 
 // Pool routes work across N backends — the coordinator of a solverd
@@ -46,9 +45,8 @@ import (
 type Pool struct {
 	backends []Backend
 	cfg      PoolConfig
-	cache    *servecache.Cache // deterministic front cache; nil = disabled
-	inflight []atomic.Int64    // per-member in-flight calls, for least-loaded routing
-	breakers []*breaker        // per-member circuit breakers; nil = disabled
+	inflight []atomic.Int64 // per-member in-flight calls, for least-loaded routing
+	breakers []*breaker     // per-member circuit breakers; nil = disabled
 
 	healthMu  sync.Mutex // guards the probe cache below
 	probedAt  []time.Time
@@ -71,14 +69,6 @@ type PoolConfig struct {
 	// MaxAttempts is how many members a batch job may be attempted on
 	// before it fails; 0 means max(2, len(backends)).
 	MaxAttempts int
-	// CacheSize > 0 enables a deterministic front cache of that many
-	// entries: repeat SolveSpec calls that pass servecache.SolveKey's
-	// cacheability rule (explicit seed, deterministic run mode) are
-	// answered from the coordinator without touching any member. 0
-	// disables caching — the coordinator default, since member-side
-	// caches (service.Config.CacheSize) already dedupe across
-	// coordinators.
-	CacheSize int
 	// BreakerThreshold is how many consecutive transient call failures
 	// trip a member's circuit breaker (the member then takes no work
 	// until BreakerCooldown passes and a half-open probe call succeeds).
@@ -144,9 +134,6 @@ func NewPool(backends []Backend, cfg PoolConfig) (*Pool, error) {
 		for i := range p.breakers {
 			p.breakers[i] = &breaker{threshold: threshold, cooldown: cfg.BreakerCooldown}
 		}
-	}
-	if cfg.CacheSize > 0 {
-		p.cache = servecache.New(cfg.CacheSize)
 	}
 	return p, nil
 }
@@ -263,54 +250,15 @@ func transientErr(err error) bool {
 	return errors.As(err, &re) && re.Transient()
 }
 
-// SolveSpec solves one run spec on the fleet. Multi-walk real-mode runs
-// over several healthy members are sharded into a distributed
-// first-success race; everything else routes whole to the least-loaded
-// member (virtual runs stay whole to keep their bit-determinism), with
-// failover: a member that dies mid-solve is marked down and the solve —
-// idempotent by construction (spec + explicit seeds) — retries on the
-// next least-loaded member. With CacheSize set, deterministic repeat
-// queries are answered from the coordinator's front cache without
-// probing or occupying any member (the replay carries the original
-// solve's WallTime, as recorded, not the replay's).
+// SolveSpec solves one run spec on the fleet: health-gate, breaker-gate,
+// then shard or route. Multi-walk real-mode runs over several healthy
+// members are sharded into a distributed first-success race; everything
+// else routes whole to the least-loaded member (virtual runs stay whole
+// to keep their bit-determinism), with failover: a member that dies
+// mid-solve is marked down and the solve — idempotent by construction
+// (spec + explicit seeds) — retries on the next least-loaded member.
 func (p *Pool) SolveSpec(ctx context.Context, spec string, opts core.Options) (core.Result, error) {
 	opts.Backend = nil
-	key := ""
-	if p.cache != nil {
-		// Canonicalize exactly as a member would: spec option keys fold
-		// into the options, the model half alphabetizes its parameters —
-		// "costas n=12 seed=7" and {"costas n=12", Seed:7} share a slot.
-		if mspec, ropts, err := core.SplitRunSpec(spec, opts); err == nil {
-			if k, ok := servecache.SolveKey(mspec.String(), ropts); ok {
-				key = k
-				if v, hit := p.cache.Get(k); hit {
-					return cloneResult(v.(core.Result)), nil
-				}
-			}
-		}
-	}
-	res, err := p.solveSpecRouted(ctx, spec, opts)
-	if err == nil && key != "" && servecache.CacheableResult(res) {
-		p.cache.Put(key, cloneResult(res))
-	}
-	return res, err
-}
-
-// cloneResult deep-copies a Result's slices so cached entries never
-// alias caller-visible memory in either direction.
-func cloneResult(r core.Result) core.Result {
-	if r.Array != nil {
-		r.Array = append([]int(nil), r.Array...)
-	}
-	if r.Stats != nil {
-		r.Stats = append([]csp.Stats(nil), r.Stats...)
-	}
-	return r
-}
-
-// solveSpecRouted is SolveSpec past the front cache: health-gate,
-// breaker-gate, then shard or route.
-func (p *Pool) solveSpecRouted(ctx context.Context, spec string, opts core.Options) (core.Result, error) {
 	up, err := p.healthyMembers(ctx)
 	if err != nil {
 		return core.Result{}, err

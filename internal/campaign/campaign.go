@@ -64,16 +64,15 @@ type Spec struct {
 	// syntax, e.g. "costas n=24" or "costas n=22 method=tabu". Per-walk
 	// budget keys (maxiter) are rejected: a campaign runs until solved,
 	// cancelled or past its deadline. method=racing is rejected too —
-	// across a campaign the racing mechanism is Arms, which races whole
-	// shards instead of walkers inside one process.
+	// across a campaign the method portfolio is Arms, which gives each
+	// shard one method instead of moving walkers inside one process.
 	RunSpec string `json:"run_spec"`
 
-	// Arms, when set, races search methods across shards: each shard runs
-	// one arm's method (overriding any method in RunSpec), the coordinator
-	// scores arms from ingested checkpoints (best cost reached, then
-	// iterations spent) and steers shards toward the winning arm at epoch
-	// boundaries, keeping one explorer shard on the runner-up. Empty means
-	// a single-method campaign exactly as before.
+	// Arms, when set, is a static method portfolio across shards: shard s
+	// runs Arms[s % len(Arms)] (overriding any method in RunSpec) for the
+	// campaign's whole life, so every shard's walk stays a function of
+	// (spec, shard, checkpoint). At most Shards arms. Empty means a
+	// single-method campaign.
 	Arms []string `json:"arms,omitempty"`
 
 	// Shards is the number of independently assignable walk groups; the
@@ -121,21 +120,28 @@ func (s Spec) Normalize() (Spec, error) {
 	if s.RunSpec == "" {
 		return s, fmt.Errorf("campaign: empty run spec")
 	}
+	// Shard s runs Arms[s % len(Arms)], so an arm past the last shard
+	// would never run: reject it instead of silently dropping it.
+	if len(s.Arms) > s.Shards {
+		return s, fmt.Errorf("campaign: %d arms but only %d shards — every arm needs a shard", len(s.Arms), s.Shards)
+	}
 	// Building a probe runner validates the spec end to end: instance
 	// resolution, walk configuration and the Restartable requirement —
-	// once per arm, so an arm that cannot build is rejected at create
-	// time, not when a worker first draws it.
-	if _, err := NewShardRunner(s, 0, nil); err != nil {
-		return s, err
-	}
+	// once per arm (shard i runs arm i), so an arm that cannot build is
+	// rejected at create time, not when a worker first draws it.
 	seen := make(map[string]bool, len(s.Arms))
-	for _, arm := range s.Arms {
+	for i, arm := range s.Arms {
 		if seen[arm] {
 			return s, fmt.Errorf("campaign: duplicate arm %q", arm)
 		}
 		seen[arm] = true
-		if _, err := NewShardRunnerMethod(s, 0, nil, arm); err != nil {
+		if _, err := NewShardRunner(s, i, nil); err != nil {
 			return s, fmt.Errorf("campaign: arm %q: %w", arm, err)
+		}
+	}
+	if len(s.Arms) == 0 {
+		if _, err := NewShardRunner(s, 0, nil); err != nil {
+			return s, err
 		}
 	}
 	return s, nil
@@ -178,7 +184,7 @@ type Checkpoint struct {
 	CampaignID string        `json:"campaign_id"`
 	Shard      int           `json:"shard"`
 	Epoch      int64         `json:"epoch"`
-	Method     string        `json:"method,omitempty"` // arm the shard ran this epoch ("" = RunSpec's method)
+	Method     string        `json:"method,omitempty"` // arm the shard ran (status only; "" = RunSpec's method)
 	Iterations int64         `json:"iterations"`       // Σ walker cumulative iterations
 	BestCost   int           `json:"best_cost"`        // min walker cost at the boundary
 	Walkers    []WalkerState `json:"walkers"`

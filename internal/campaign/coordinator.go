@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/core"
 )
 
 // Control is the worker-facing face of the coordinator: registration and
@@ -50,31 +48,18 @@ type HeartbeatRequest struct {
 }
 
 // Assignment hands a shard to a worker, with the checkpoint to resume
-// from (nil on a fresh shard) and, for an Arms campaign, the method arm
-// the shard must run.
+// from (nil on a fresh shard).
 type Assignment struct {
 	Spec   Spec        `json:"spec"`
 	Shard  int         `json:"shard"`
-	Method string      `json:"method,omitempty"`
 	Resume *Checkpoint `json:"resume,omitempty"`
 }
 
-// Retune redirects a running shard to a different method arm. The worker
-// applies it at the shard's next epoch boundary, rebuilding the runner
-// from the checkpoint it just emitted — the same rebuild a crash-resume
-// would do, so the switch costs nothing and stays deterministic.
-type Retune struct {
-	Ref    ShardRef `json:"ref"`
-	Method string   `json:"method"`
-}
-
 // HeartbeatResponse carries the coordinator's orders: shards to start,
-// shards to stop, running shards to steer onto another arm, and the
-// lease TTL the worker must beat.
+// shards to stop, and the lease TTL the worker must beat.
 type HeartbeatResponse struct {
 	Assign   []Assignment  `json:"assign,omitempty"`
 	Cancel   []ShardRef    `json:"cancel,omitempty"`
-	Retune   []Retune      `json:"retune,omitempty"`
 	LeaseTTL time.Duration `json:"lease_ttl"`
 }
 
@@ -129,11 +114,10 @@ type Coordinator struct {
 
 	mu         sync.Mutex
 	members    map[string]*member
-	assigned   map[ShardRef]string       // shard → owning worker ID
-	pending    map[ShardRef]bool         // runnable, unassigned shards
-	armBest    map[string]map[string]int // campaign → arm → best cost seen
-	lastTick   time.Time                 // Now() at the previous expiry scan
-	skewEvents int                       // clock anomalies absorbed
+	assigned   map[ShardRef]string // shard → owning worker ID
+	pending    map[ShardRef]bool   // runnable, unassigned shards
+	lastTick   time.Time           // Now() at the previous expiry scan
+	skewEvents int                 // clock anomalies absorbed
 }
 
 type member struct {
@@ -167,7 +151,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		members:  make(map[string]*member),
 		assigned: make(map[ShardRef]string),
 		pending:  make(map[ShardRef]bool),
-		armBest:  make(map[string]map[string]int),
 	}
 	for _, id := range cfg.Store.Campaigns() {
 		if st, _ := cfg.Store.State(id); st != StateRunning {
@@ -229,7 +212,6 @@ func (c *Coordinator) Cancel(id, reason string) error {
 func (c *Coordinator) retire(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.armBest, id)
 	for ref := range c.pending {
 		if ref.CampaignID == id {
 			delete(c.pending, ref)
@@ -364,58 +346,6 @@ func (c *Coordinator) SkewEvents() int {
 	return c.skewEvents
 }
 
-// armBestLocked returns the campaign's per-arm best-cost table, seeding
-// it from the store's latest checkpoints on first use — a restarted
-// coordinator recovers its arm scores from durable state instead of
-// forgetting which arm was winning.
-func (c *Coordinator) armBestLocked(spec Spec) map[string]int {
-	t, ok := c.armBest[spec.ID]
-	if !ok {
-		t = make(map[string]int)
-		for shard := 0; shard < spec.Shards; shard++ {
-			if cp, ok := c.store.Latest(spec.ID, shard); ok && cp.Method != "" {
-				if b, seen := t[cp.Method]; !seen || cp.BestCost < b {
-					t[cp.Method] = cp.BestCost
-				}
-			}
-		}
-		c.armBest[spec.ID] = t
-	}
-	return t
-}
-
-// desiredArmLocked decides which arm shard should run: round-robin over
-// Arms until every arm has reported at least one checkpoint (the
-// campaign-scale successive-halving warm-up), then the best-scoring arm
-// everywhere — except the last shard, which stays on the runner-up as an
-// explorer, the fleet analogue of the racing allocator's exploration
-// floor. Decisions are a pure function of (spec, shard, ingested
-// checkpoints), so any coordinator incarnation steers identically.
-func (c *Coordinator) desiredArmLocked(spec Spec, shard int) string {
-	if len(spec.Arms) == 0 {
-		return ""
-	}
-	t := c.armBestLocked(spec)
-	for _, arm := range spec.Arms {
-		if _, ok := t[arm]; !ok {
-			return spec.Arms[shard%len(spec.Arms)]
-		}
-	}
-	winner, runnerUp := spec.Arms[0], ""
-	for _, arm := range spec.Arms[1:] {
-		switch {
-		case t[arm] < t[winner]:
-			runnerUp, winner = winner, arm
-		case runnerUp == "" || t[arm] < t[runnerUp]:
-			runnerUp = arm
-		}
-	}
-	if runnerUp != "" && spec.Shards >= 2 && shard == spec.Shards-1 {
-		return runnerUp
-	}
-	return winner
-}
-
 // Heartbeat implements Control: lease renewal, report ingestion,
 // reconciliation and assignment, in that order.
 func (c *Coordinator) Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
@@ -500,7 +430,7 @@ func (c *Coordinator) Heartbeat(ctx context.Context, req HeartbeatRequest) (Hear
 				delete(c.pending, ref)
 				continue
 			}
-			asg := Assignment{Spec: spec, Shard: ref.Shard, Method: c.desiredArmLocked(spec, ref.Shard)}
+			asg := Assignment{Spec: spec, Shard: ref.Shard}
 			if cp, ok := c.store.Latest(ref.CampaignID, ref.Shard); ok {
 				asg.Resume = &cp
 			}
@@ -510,28 +440,6 @@ func (c *Coordinator) Heartbeat(ctx context.Context, req HeartbeatRequest) (Hear
 			resp.Assign = append(resp.Assign, asg)
 			free--
 		}
-	}
-
-	// Steer Arms campaigns: every shard this worker owns gets the
-	// coordinator's current desired arm. The worker applies a change at
-	// the shard's next epoch boundary and ignores no-ops, so repeating
-	// the directive every heartbeat is harmless and self-healing.
-	var steer []ShardRef
-	for ref := range m.shards {
-		steer = append(steer, ref)
-	}
-	sort.Slice(steer, func(i, j int) bool {
-		if steer[i].CampaignID != steer[j].CampaignID {
-			return steer[i].CampaignID < steer[j].CampaignID
-		}
-		return steer[i].Shard < steer[j].Shard
-	})
-	for _, ref := range steer {
-		spec, ok := c.store.Spec(ref.CampaignID)
-		if !ok || len(spec.Arms) == 0 {
-			continue
-		}
-		resp.Retune = append(resp.Retune, Retune{Ref: ref, Method: c.desiredArmLocked(spec, ref.Shard)})
 	}
 	return resp, nil
 }
@@ -547,17 +455,6 @@ func (c *Coordinator) ingestCheckpoint(cp Checkpoint) {
 		return
 	}
 	_ = c.store.PutCheckpoint(cp)
-	if cp.Method == "" {
-		return
-	}
-	c.mu.Lock()
-	if spec, ok := c.store.Spec(cp.CampaignID); ok && len(spec.Arms) > 0 {
-		t := c.armBestLocked(spec)
-		if b, seen := t[cp.Method]; !seen || cp.BestCost < b {
-			t[cp.Method] = cp.BestCost
-		}
-	}
-	c.mu.Unlock()
 }
 
 // ingestSolution ends a campaign on its first reported solution; the
@@ -569,18 +466,6 @@ func (c *Coordinator) ingestSolution(sol Solution) {
 	}
 	if err := c.store.PutState(sol.CampaignID, StateSolved, "", &sol); err != nil {
 		return
-	}
-	// An Arms campaign's win is evidence about this (model, size): record
-	// the winning arm in the registry's runtime tuning store, where the
-	// racing allocator's preferred-arm seeding (core.SolveInstance) and
-	// future campaigns pick it up. Best-effort — a spec that no longer
-	// resolves must not block ending the campaign.
-	if sol.Method != "" {
-		if spec, ok := c.store.Spec(sol.CampaignID); ok {
-			if inst, _, err := core.ParseRunSpec(spec.RunSpec, core.Options{}); err == nil {
-				inst.RecordWin(len(sol.Config), sol.Method)
-			}
-		}
 	}
 	c.retire(sol.CampaignID)
 }

@@ -2,11 +2,11 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/registry"
 )
 
 // fakeClock is a settable clock for lease-expiry tests.
@@ -308,12 +308,56 @@ func TestWorkerSolvesInProcess(t *testing.T) {
 	t.Fatal("campaign did not solve n=10 in time")
 }
 
-// TestCoordinatorArmsSteering: an Arms campaign starts round-robin over
-// the arms, and once every arm has reported a checkpoint the coordinator
-// steers all shards to the best-cost arm — except the last shard, which
-// explores the runner-up. The winning arm of a solution lands in the
-// registry's runtime tuning store.
-func TestCoordinatorArmsSteering(t *testing.T) {
+// staticArmRunners checks a heartbeat response that assigns every
+// shard of spec against the static arm table want, and builds each
+// shard's runner exactly as a worker would.
+func staticArmRunners(t *testing.T, spec Spec, want []string, phase string, resp HeartbeatResponse) map[int]*ShardRunner {
+	t.Helper()
+	if raw, _ := json.Marshal(resp); strings.Contains(string(raw), "retune") {
+		t.Fatalf("%s: response steers running shards: %s", phase, raw)
+	}
+	if len(resp.Assign) != spec.Shards {
+		t.Fatalf("%s: got %d assignments, want %d", phase, len(resp.Assign), spec.Shards)
+	}
+	out := make(map[int]*ShardRunner)
+	for _, asg := range resp.Assign {
+		r, err := NewShardRunner(asg.Spec, asg.Shard, asg.Resume)
+		if err != nil {
+			t.Fatalf("%s: shard %d: %v", phase, asg.Shard, err)
+		}
+		if r.method != want[asg.Shard] {
+			t.Fatalf("%s: shard %d runs arm %q, want %q", phase, asg.Shard, r.method, want[asg.Shard])
+		}
+		out[asg.Shard] = r
+	}
+	return out
+}
+
+// reportOtherArm walks one epoch of every runner and returns checkpoints
+// that claim the next arm of want instead of the shard's own, as a
+// coordinator that steered shards between arms would have stored them.
+func reportOtherArm(t *testing.T, runners map[int]*ShardRunner, want []string) []Checkpoint {
+	t.Helper()
+	var cps []Checkpoint
+	for s := 0; s < len(runners); s++ {
+		cp, sol, err := runners[s].RunEpoch(context.Background())
+		if err != nil || sol != nil {
+			t.Fatalf("shard %d epoch: sol=%+v err=%v", s, sol, err)
+		}
+		if cp.Method != want[s] {
+			t.Fatalf("shard %d checkpoint records arm %q, want %q", s, cp.Method, want[s])
+		}
+		cp.Method = want[(s+1)%len(want)]
+		cps = append(cps, cp)
+	}
+	return cps
+}
+
+// TestCoordinatorStaticArms: Arms is a static portfolio — shard s runs
+// Arms[s % len(Arms)] on its first assignment and on reassignment after
+// a lease expiry, whatever arm its resume checkpoint records, and no
+// heartbeat response steers a running shard.
+func TestCoordinatorStaticArms(t *testing.T) {
 	clock := newFakeClock()
 	coord, _ := newTestCoordinator(t, t.TempDir(), clock)
 	spec, err := coord.Create(Spec{
@@ -323,56 +367,36 @@ func TestCoordinatorArmsSteering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
+	want := []string{"adaptive", "tabu", "adaptive"}
 
-	resp := heartbeat(t, coord, HeartbeatRequest{WorkerID: "w1", Capacity: 3})
-	if len(resp.Assign) != 3 {
-		t.Fatalf("got %d assignments, want 3", len(resp.Assign))
-	}
-	for _, asg := range resp.Assign {
-		want := spec.Arms[asg.Shard%len(spec.Arms)]
-		if asg.Method != want {
-			t.Fatalf("shard %d assigned arm %q before any scores, want round-robin %q", asg.Shard, asg.Method, want)
-		}
-	}
-
-	// tabu reports a strictly better cost than adaptive.
-	mkcp := func(shard int, method string, cost int) Checkpoint {
-		cp := testCheckpoint(spec.ID, shard, 1)
-		cp.Walkers = cp.Walkers[:1]
-		cp.Method = method
-		cp.BestCost = cost
-		return cp
-	}
+	first := staticArmRunners(t, spec, want, "first assignment", heartbeat(t, coord, HeartbeatRequest{WorkerID: "w1", Capacity: 3}))
 	running := []ShardRef{{spec.ID, 0}, {spec.ID, 1}, {spec.ID, 2}}
-	resp = heartbeat(t, coord, HeartbeatRequest{
-		WorkerID: "w1", Capacity: 3, Running: running,
-		Checkpoints: []Checkpoint{mkcp(0, "adaptive", 5), mkcp(1, "tabu", 2)},
-	})
-	want := map[int]string{0: "tabu", 1: "tabu", 2: "adaptive"} // last shard explores the runner-up
-	if len(resp.Retune) != 3 {
-		t.Fatalf("retune directives = %+v, want 3", resp.Retune)
-	}
-	for _, rt := range resp.Retune {
-		if rt.Method != want[rt.Ref.Shard] {
-			t.Fatalf("shard %d steered to %q, want %q (retunes %+v)", rt.Ref.Shard, rt.Method, want[rt.Ref.Shard], resp.Retune)
-		}
+	cps := reportOtherArm(t, first, want)
+	resp := heartbeat(t, coord, HeartbeatRequest{WorkerID: "w1", Capacity: 3, Running: running, Checkpoints: cps})
+	if len(resp.Assign) != 0 || len(resp.Cancel) != 0 {
+		t.Fatalf("steady-state heartbeat changed assignments: %+v", resp)
 	}
 
-	// A solution on the tabu arm records the win under (model, size) in
-	// the registry's runtime tuning store.
-	sol := Solution{CampaignID: spec.ID, Shard: 1, Walker: 1, Epoch: 2, Method: "tabu",
-		Iterations: 999, Config: []int{0, 2, 1}}
-	heartbeat(t, coord, HeartbeatRequest{WorkerID: "w1", Capacity: 3, Solutions: []Solution{sol}})
-	tuned, _, ok := registry.Default.TunedFor("costas", len(sol.Config))
-	if !ok || tuned.Method != "tabu" {
-		t.Fatalf("registry tuning after arm win = %+v ok=%v, want method tabu", tuned, ok)
+	clock.Advance(2 * time.Second)
+	resumed := staticArmRunners(t, spec, want, "reassignment", heartbeat(t, coord, HeartbeatRequest{WorkerID: "w2", Capacity: 3}))
+	for s, r := range resumed {
+		if r.Epoch() != 1 {
+			t.Fatalf("shard %d reassigned at epoch %d, want its checkpoint's epoch 1", s, r.Epoch())
+		}
+		cp, sol, err := r.RunEpoch(context.Background())
+		if err != nil || sol != nil {
+			t.Fatalf("shard %d resumed epoch: sol=%+v err=%v", s, sol, err)
+		}
+		if cp.Method != want[s] {
+			t.Fatalf("shard %d resumed on arm %q, want its static arm %q", s, cp.Method, want[s])
+		}
 	}
 }
 
-// TestCoordinatorArmScoresSurviveRestart: a restarted coordinator
-// recovers its arm scores from the store's latest checkpoints instead of
-// re-entering the round-robin warm-up.
-func TestCoordinatorArmScoresSurviveRestart(t *testing.T) {
+// TestCoordinatorStaticArmsSurviveRestart: a restarted coordinator hands
+// every shard its static arm again, resuming from the stored checkpoint
+// whatever arm that checkpoint records.
+func TestCoordinatorStaticArmsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
 	coord1, store1 := newTestCoordinator(t, dir, clock)
@@ -381,37 +405,23 @@ func TestCoordinatorArmScoresSurviveRestart(t *testing.T) {
 		Arms: []string{"adaptive", "tabu"},
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Create: %v", err)
 	}
-	heartbeat(t, coord1, HeartbeatRequest{WorkerID: "w1", Capacity: 2})
-	cp0 := testCheckpoint(spec.ID, 0, 1)
-	cp0.Walkers = cp0.Walkers[:1]
-	cp0.Method, cp0.BestCost = "adaptive", 7
-	cp1 := testCheckpoint(spec.ID, 1, 1)
-	cp1.Walkers = cp1.Walkers[:1]
-	cp1.Method, cp1.BestCost = "tabu", 3
+	want := []string{"adaptive", "tabu"}
+
+	first := staticArmRunners(t, spec, want, "first assignment", heartbeat(t, coord1, HeartbeatRequest{WorkerID: "w1", Capacity: 2}))
 	heartbeat(t, coord1, HeartbeatRequest{
 		WorkerID: "w1", Capacity: 2,
 		Running:     []ShardRef{{spec.ID, 0}, {spec.ID, 1}},
-		Checkpoints: []Checkpoint{cp0, cp1},
+		Checkpoints: reportOtherArm(t, first, want),
 	})
 	store1.Close()
 
 	coord2, _ := newTestCoordinator(t, dir, clock)
-	resp := heartbeat(t, coord2, HeartbeatRequest{WorkerID: "w2", Capacity: 2})
-	if len(resp.Assign) != 2 {
-		t.Fatalf("got %d assignments, want 2", len(resp.Assign))
-	}
-	for _, asg := range resp.Assign {
-		want := "tabu"
-		if asg.Shard == 1 { // last shard explores the runner-up
-			want = "adaptive"
-		}
-		if asg.Method != want {
-			t.Fatalf("restarted coordinator assigned shard %d arm %q, want %q", asg.Shard, asg.Method, want)
-		}
-		if asg.Shard == 0 && (asg.Resume == nil || asg.Resume.Method != "adaptive") {
-			t.Fatalf("shard 0 resume checkpoint lost its arm: %+v", asg.Resume)
+	resumed := staticArmRunners(t, spec, want, "restarted coordinator", heartbeat(t, coord2, HeartbeatRequest{WorkerID: "w2", Capacity: 2}))
+	for s, r := range resumed {
+		if r.Epoch() != 1 {
+			t.Fatalf("shard %d resumed at epoch %d after restart, want its checkpoint's epoch 1", s, r.Epoch())
 		}
 	}
 }

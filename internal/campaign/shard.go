@@ -39,7 +39,7 @@ import (
 type ShardRunner struct {
 	spec   Spec
 	shard  int
-	method string // arm override ("" = RunSpec's own method)
+	method string // the shard's arm of Spec.Arms ("" = RunSpec's own method)
 	inst   registry.Instance
 	cfg    walk.Config
 
@@ -50,27 +50,16 @@ type ShardRunner struct {
 
 // NewShardRunner builds shard's runner, resuming from cp when non-nil
 // (cp must be this shard's checkpoint) and starting fresh otherwise.
-// When resuming a checkpoint that carries a method arm, the shard keeps
-// running that arm.
+// For an Arms campaign the shard's engines come from its static arm,
+// Arms[shard % len(Arms)], instead of the run spec's method; the arm is
+// a function of (spec, shard) alone, so cp.Method is only a record.
 func NewShardRunner(spec Spec, shard int, cp *Checkpoint) (*ShardRunner, error) {
-	method := ""
-	if cp != nil {
-		method = cp.Method
-	}
-	return NewShardRunnerMethod(spec, shard, cp, method)
-}
-
-// NewShardRunnerMethod is NewShardRunner with a method-arm override: the
-// shard's engines come from method's factory instead of the run spec's.
-// This is how the coordinator races Spec.Arms across shards — the run
-// spec stays one durable string while each shard walks one arm. An empty
-// method falls back to the checkpoint's arm, then to the run spec.
-func NewShardRunnerMethod(spec Spec, shard int, cp *Checkpoint, method string) (*ShardRunner, error) {
 	if shard < 0 || shard >= spec.Shards {
 		return nil, fmt.Errorf("campaign: shard %d out of range [0,%d)", shard, spec.Shards)
 	}
-	if method == "" && cp != nil {
-		method = cp.Method
+	method := ""
+	if len(spec.Arms) > 0 {
+		method = spec.Arms[shard%len(spec.Arms)]
 	}
 	inst, opts, err := core.ParseRunSpec(spec.RunSpec, spec.specOptions())
 	if err != nil {
@@ -90,8 +79,8 @@ func NewShardRunnerMethod(spec Spec, shard int, cp *Checkpoint, method string) (
 	if cfg.Allocator != nil {
 		// Racing reallocates walkers INSIDE one scheduler run; a campaign
 		// shard is driven engine-by-engine here and would silently ignore
-		// the allocator. Arms is the campaign-level racing mechanism.
-		return nil, fmt.Errorf("campaign: method=racing is not valid in a campaign run spec — race methods with Spec.Arms instead")
+		// the allocator. Arms is the campaign-level method portfolio.
+		return nil, fmt.Errorf("campaign: method=racing is not valid in a campaign run spec — spread methods over shards with Spec.Arms instead")
 	}
 	r := &ShardRunner{
 		spec:   spec,
@@ -154,10 +143,6 @@ func (r *ShardRunner) build(cp *Checkpoint) error {
 // Epoch returns the number of completed epochs (the epoch RunEpoch will
 // run next).
 func (r *ShardRunner) Epoch() int64 { return r.epoch }
-
-// Method returns the shard's method-arm override ("" when the shard runs
-// the run spec's own method).
-func (r *ShardRunner) Method() string { return r.method }
 
 // RunEpoch advances every walker by exactly SnapshotIters iterations in
 // lockstep quanta of the walk config's CheckEvery, then snapshots.

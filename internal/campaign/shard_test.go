@@ -187,35 +187,62 @@ func TestSpecRejectsUnknownModel(t *testing.T) {
 	}
 }
 
-// TestShardRunnerMethodArm: a method-arm override drives the shard with
-// that arm's engines, stamps the arm into every checkpoint, and a plain
-// NewShardRunner resume from such a checkpoint keeps the arm.
-func TestShardRunnerMethodArm(t *testing.T) {
-	spec := Spec{ID: "arm", RunSpec: "costas n=16", Shards: 1, Walkers: 2,
-		SnapshotIters: 128, MasterSeed: 9}
-	r, err := NewShardRunnerMethod(spec, 0, nil, "tabu")
-	if err != nil {
-		t.Fatalf("NewShardRunnerMethod: %v", err)
+// TestSpecRejectsArmsWithoutShards: shard s runs Arms[s % len(Arms)], so
+// an arm indexed at or past Shards would never run. Normalize rejects
+// such a spec; one arm per shard, duplicates and unbuildable arms are
+// checked too.
+func TestSpecRejectsArmsWithoutShards(t *testing.T) {
+	arms := []string{"adaptive", "tabu", "hillclimb"}
+	if _, err := (Spec{RunSpec: "costas n=12", Shards: 2, Arms: arms}).Normalize(); err == nil {
+		t.Fatal("Normalize accepted 3 arms on 2 shards")
 	}
-	cp, sol, err := r.RunEpoch(context.Background())
-	if err != nil || sol != nil {
-		t.Fatalf("epoch: cp=%+v sol=%+v err=%v", cp, sol, err)
+	if _, err := (Spec{RunSpec: "costas n=12", Arms: arms[:2]}).Normalize(); err == nil {
+		t.Fatal("Normalize accepted 2 arms on the default single shard")
 	}
-	if cp.Method != "tabu" {
-		t.Fatalf("checkpoint method = %q, want tabu", cp.Method)
+	if _, err := (Spec{RunSpec: "costas n=12", Shards: 3, Arms: arms}).Normalize(); err != nil {
+		t.Fatalf("Normalize rejected one arm per shard: %v", err)
 	}
+	if _, err := (Spec{RunSpec: "costas n=12", Shards: 2, Arms: []string{"tabu", "tabu"}}).Normalize(); err == nil {
+		t.Fatal("Normalize accepted a duplicate arm")
+	}
+	if _, err := (Spec{RunSpec: "costas n=12", Shards: 2, Arms: []string{"tabu", "racing"}}).Normalize(); err == nil {
+		t.Fatal("Normalize accepted an arm that cannot run in a shard")
+	}
+}
 
-	resumed, err := NewShardRunner(spec, 0, &cp)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if resumed.Method() != "tabu" {
-		t.Fatalf("resumed runner method = %q, want tabu (inherited from checkpoint)", resumed.Method())
+// TestShardRunnerMethodArm: in an Arms campaign shard s walks
+// Arms[s % len(Arms)] with that arm's engines and stamps the arm into
+// every checkpoint; a resume keeps the static arm even when the
+// checkpoint records another one.
+func TestShardRunnerMethodArm(t *testing.T) {
+	spec := Spec{ID: "arm", RunSpec: "costas n=16", Shards: 3, Walkers: 2,
+		SnapshotIters: 128, MasterSeed: 9, Arms: []string{"adaptive", "tabu"}}
+	for shard, want := range []string{"adaptive", "tabu", "adaptive"} {
+		r, err := NewShardRunner(spec, shard, nil)
+		if err != nil {
+			t.Fatalf("shard %d: %v", shard, err)
+		}
+		cp, sol, err := r.RunEpoch(context.Background())
+		if err != nil || sol != nil {
+			t.Fatalf("shard %d epoch: cp=%+v sol=%+v err=%v", shard, cp, sol, err)
+		}
+		if cp.Method != want {
+			t.Fatalf("shard %d checkpoint method = %q, want %q", shard, cp.Method, want)
+		}
+
+		cp.Method = "hillclimb"
+		resumed, err := NewShardRunner(spec, shard, &cp)
+		if err != nil {
+			t.Fatalf("shard %d resume: %v", shard, err)
+		}
+		if resumed.method != want {
+			t.Fatalf("shard %d resumed on arm %q, want its static arm %q", shard, resumed.method, want)
+		}
 	}
 }
 
 // TestShardRunnerRejectsRacing: method=racing cannot run inside a
-// campaign shard (Arms is the campaign-level racing mechanism).
+// campaign shard (Arms is the campaign-level method portfolio).
 func TestShardRunnerRejectsRacing(t *testing.T) {
 	spec := Spec{ID: "bad", RunSpec: "costas n=16 method=racing", Shards: 1,
 		Walkers: 2, SnapshotIters: 128, MasterSeed: 1}

@@ -38,7 +38,6 @@ type Worker struct {
 
 	mu          sync.Mutex
 	tasks       map[ShardRef]*shardTask
-	retunes     map[ShardRef]string // desired method arm per running shard
 	checkpoints []Checkpoint
 	solutions   []Solution
 }
@@ -67,7 +66,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 2 * time.Second
 	}
-	return &Worker{cfg: cfg, tasks: make(map[ShardRef]*shardTask), retunes: make(map[ShardRef]string)}, nil
+	return &Worker{cfg: cfg, tasks: make(map[ShardRef]*shardTask)}, nil
 }
 
 // ID returns the worker's membership identity.
@@ -132,13 +131,6 @@ func (w *Worker) heartbeat(ctx context.Context) {
 	for _, ref := range resp.Cancel {
 		w.stop(ref)
 	}
-	if len(resp.Retune) > 0 {
-		w.mu.Lock()
-		for _, rt := range resp.Retune {
-			w.retunes[rt.Ref] = rt.Method
-		}
-		w.mu.Unlock()
-	}
 	for _, asg := range resp.Assign {
 		w.start(ctx, asg)
 	}
@@ -160,7 +152,7 @@ func (w *Worker) start(ctx context.Context, asg Assignment) {
 	go func() {
 		defer close(t.done)
 		defer w.remove(ref)
-		runner, err := NewShardRunnerMethod(asg.Spec, asg.Shard, asg.Resume, asg.Method)
+		runner, err := NewShardRunner(asg.Spec, asg.Shard, asg.Resume)
 		if err != nil {
 			// A spec the coordinator accepted but this worker cannot build
 			// (version skew). Dropping the task returns the shard to
@@ -180,17 +172,7 @@ func (w *Worker) start(ctx context.Context, asg Assignment) {
 			default:
 				w.mu.Lock()
 				w.checkpoints = append(w.checkpoints, cp)
-				want, retune := w.retunes[ref]
 				w.mu.Unlock()
-				// A pending retune applies here, at the epoch boundary:
-				// rebuild the runner from the checkpoint just emitted with
-				// the new arm's factory — exactly the rebuild a crash-resume
-				// from that checkpoint would perform.
-				if retune && want != runner.Method() {
-					if nr, err := NewShardRunnerMethod(asg.Spec, asg.Shard, &cp, want); err == nil {
-						runner = nr
-					}
-				}
 			}
 		}
 	}()
@@ -199,7 +181,6 @@ func (w *Worker) start(ctx context.Context, asg Assignment) {
 func (w *Worker) remove(ref ShardRef) {
 	w.mu.Lock()
 	delete(w.tasks, ref)
-	delete(w.retunes, ref)
 	w.mu.Unlock()
 }
 

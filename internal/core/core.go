@@ -156,12 +156,6 @@ type Options struct {
 	// backends rather than silently dropped; SolveModel rejects any
 	// Backend because model closures cannot be shipped.
 	Backend Backend
-
-	// racePreferred seeds the racing allocator's initial split toward a
-	// method that previously won on this model/size (from the registry's
-	// runtime tuning store). Set by SolveInstance only — it is a learned
-	// hint, not caller configuration, hence unexported.
-	racePreferred string
 }
 
 // Result reports a solve outcome.
@@ -322,9 +316,8 @@ func buildPlan(opts Options, adaptiveDefaults adaptive.Params) (runPlan, error) 
 				walkers = 1
 			}
 			plan.ctrl = race.NewController(plan.methods, race.Config{
-				Walkers:   walkers,
-				Seed:      seed,
-				Preferred: opts.racePreferred,
+				Walkers: walkers,
+				Seed:    seed,
 			})
 			plan.cfg.Allocator = plan.ctrl
 		}

@@ -9,9 +9,7 @@ import (
 // TestSolveSpecRacingEndToEnd drives method=racing through the public
 // spec pipeline: the run must solve, name the winning arm, attribute the
 // fleet's work to arms without losing an iteration, and reproduce bit
-// for bit at a fixed seed (the registry's RecordWin feedback between
-// calls must not perturb a two-arm split — the preferred-arm boost
-// equals the equal share there by design).
+// for bit at a fixed seed.
 func TestSolveSpecRacingEndToEnd(t *testing.T) {
 	const spec = "costas n=12 method=racing portfolio=adaptive,tabu"
 	opts := Options{Walkers: 8, Virtual: true, Seed: 5}
@@ -39,9 +37,8 @@ func TestSolveSpecRacingEndToEnd(t *testing.T) {
 			attributed, total, first.TotalIterations)
 	}
 
-	// Second identical call: the first solve recorded a win in the
-	// registry's tuning store, which seeds the preferred arm — and must
-	// not change the outcome.
+	// Second identical call: nothing the first solve did may change the
+	// outcome.
 	second, err := SolveSpec(context.Background(), spec, opts)
 	if err != nil {
 		t.Fatal(err)

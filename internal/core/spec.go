@@ -210,23 +210,12 @@ func SolveInstance(ctx context.Context, inst registry.Instance, opts Options) (R
 	if tuned, ok := inst.TunedParams(); ok {
 		defaults = tuned
 	}
-	racing := false
-	if m, err := normalizeMethod(opts.Method); err == nil && m == MethodRacing {
-		racing = true
-		// Seed the racing allocator's initial split with what previously
-		// won on this model at the nearest size — the registry's runtime
-		// tuning store closes the loop from solve to solve.
-		opts.racePreferred = inst.PreferredMethod()
-	}
 	res, err := solveWith(ctx, inst.NewModel, opts, defaults)
 	if err != nil {
 		return res, err
 	}
 	if res.Solved && !inst.Valid(res.Array) {
 		return res, fmt.Errorf("core: internal error — claimed solution %v does not solve %s", res.Array, inst.Spec)
-	}
-	if racing && res.Solved && res.WinnerMethod != "" {
-		inst.RecordWin(len(res.Array), res.WinnerMethod)
 	}
 	return res, nil
 }

@@ -85,19 +85,35 @@ func TestParseRunSpecFullRangeSeed(t *testing.T) {
 // derivation, bit-identical result. This is the acceptance guarantee that
 // the rewire does not move any paper numbers.
 func TestSolveSpecMatchesSolveForCostas(t *testing.T) {
-	direct, err := Solve(context.Background(), Options{N: 12, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpec, err := SolveSpec(context.Background(), "costas n=12 seed=5", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !viaSpec.Solved || !reflect.DeepEqual(direct.Array, viaSpec.Array) {
-		t.Fatalf("registry route diverges from Solve: %v vs %v", direct.Array, viaSpec.Array)
-	}
-	if direct.Iterations != viaSpec.Iterations || !reflect.DeepEqual(direct.Stats, viaSpec.Stats) {
-		t.Fatalf("registry route changed the trajectory: %d vs %d iterations", direct.Iterations, viaSpec.Iterations)
+	for _, tc := range []struct {
+		spec   string
+		opts   Options // options of the SolveSpec calls
+		direct Options // the equivalent core.Solve options
+	}{
+		{"costas n=12 seed=5", Options{}, Options{N: 12, Seed: 5}},
+		// A fixed-seed racing solve is a pure function of its inputs too:
+		// the second identical call must not learn from the first.
+		{"costas n=17 method=racing", Options{Walkers: 8, Virtual: true, Seed: 3},
+			Options{N: 17, Method: MethodRacing, Walkers: 8, Virtual: true, Seed: 3}},
+	} {
+		direct, err := Solve(context.Background(), tc.direct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 1; call <= 2; call++ {
+			viaSpec, err := SolveSpec(context.Background(), tc.spec, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !viaSpec.Solved || !reflect.DeepEqual(direct.Array, viaSpec.Array) {
+				t.Fatalf("%s call %d: registry route diverges from Solve: %v vs %v", tc.spec, call, direct.Array, viaSpec.Array)
+			}
+			if direct.Iterations != viaSpec.Iterations || direct.TotalIterations != viaSpec.TotalIterations ||
+				!reflect.DeepEqual(direct.Stats, viaSpec.Stats) {
+				t.Fatalf("%s call %d: registry route changed the trajectory: %d vs %d iterations (total %d vs %d)",
+					tc.spec, call, direct.Iterations, viaSpec.Iterations, direct.TotalIterations, viaSpec.TotalIterations)
+			}
+		}
 	}
 }
 

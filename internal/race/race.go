@@ -36,12 +36,13 @@
 // stuck arm, progress says defund it. Progress wins.
 //
 // Determinism contract: a Controller is a pure function of its
-// construction parameters (arms, walker count, master seed, preferred
-// arm) and the sequence of observations fed to Observe — no wall clock,
-// no global RNG. The walk scheduler calls Observe/Assign from a single
-// goroutine in a fixed order, so fixed-seed lockstep racing runs are
-// bit-reproducible at any MaxParallelism: same winner, same stats, same
-// allocation schedule (see Schedule).
+// construction parameters (arms, walker count, master seed) and the
+// sequence of observations fed to Observe — no wall clock, no global
+// RNG, no state carried over from earlier runs. The walk scheduler
+// calls Observe/Assign from a single goroutine in a fixed order, so
+// fixed-seed lockstep racing runs are bit-reproducible at any
+// MaxParallelism: same winner, same stats, same allocation schedule
+// (see Schedule).
 package race
 
 import (
@@ -89,7 +90,10 @@ const deadband = 0.5
 const confirmStreak = 2
 
 // Config tunes a Controller. The zero value of every field except
-// Walkers has a sensible default.
+// Walkers has a sensible default. Nothing in it carries what earlier
+// runs learned: window 0 is always the portfolio-aligned split (see
+// initialLocked), so a fixed-seed racing solve depends on its own
+// inputs alone.
 type Config struct {
 	// Walkers is the fleet size the controller allocates (≥ 1).
 	Walkers int
@@ -102,11 +106,6 @@ type Config struct {
 	// rather than seed-randomised, so walkers that never migrate stay
 	// bit-identical to their static round-robin twins.
 	Seed uint64
-	// Preferred optionally names the arm favoured in the initial split
-	// (a persisted tuned-method winner for this model/size); it receives
-	// half the fleet up front instead of an equal share. Unknown names
-	// are ignored.
-	Preferred string
 }
 
 // Controller implements walk.Allocator for a fixed set of named arms.
@@ -116,7 +115,6 @@ type Controller struct {
 	walkers int
 	window  int64
 	seed    uint64
-	pref    int // preferred arm index, -1 if none
 
 	halvingLeft int    // halving boundaries still to apply
 	alive       []bool // survivor set during the halving phase
@@ -156,7 +154,6 @@ func NewController(arms []string, cfg Config) *Controller {
 		walkers:  cfg.Walkers,
 		window:   cfg.Window,
 		seed:     cfg.Seed,
-		pref:     -1,
 		alive:    make([]bool, len(arms)),
 		ema:      make([]float64, len(arms)),
 		scored:   make([]bool, len(arms)),
@@ -173,12 +170,6 @@ func NewController(arms []string, cfg Config) *Controller {
 	}
 	for h := 1; h < len(arms); h *= 2 {
 		c.halvingLeft++ // ⌈log₂ A⌉ halvings reduce A arms to one
-	}
-	for i, name := range arms {
-		if name == cfg.Preferred {
-			c.pref = i
-			break
-		}
 	}
 	return c
 }
@@ -304,32 +295,11 @@ func (c *Controller) Assign(w int) []int {
 // seed for cosmetic arm fairness; on heavy-tailed solve-time
 // distributions the decorrelated seed→arm pairing cost far more than
 // the fairness was worth.)
-//
-// A preferred arm (a persisted tuned-method winner) is boosted to half
-// the fleet by converting non-preferred slots from the tail, keeping the
-// low-index alignment intact. With two arms the boost equals the equal
-// share, so the split — intentionally — does not change at all.
 func (c *Controller) initialLocked() []int {
 	nArms := len(c.arms)
 	assign := make([]int, c.walkers)
 	for i := range assign {
 		assign[i] = i % nArms
-	}
-	if c.pref < 0 {
-		return assign
-	}
-	want := (c.walkers + 1) / 2
-	have := 0
-	for _, a := range assign {
-		if a == c.pref {
-			have++
-		}
-	}
-	for i := c.walkers - 1; i >= 0 && have < want; i-- {
-		if assign[i] != c.pref {
-			assign[i] = c.pref
-			have++
-		}
 	}
 	return assign
 }

@@ -56,32 +56,6 @@ func TestInitialSplitAlignedToPortfolio(t *testing.T) {
 	}
 }
 
-func TestPreferredBoostConvertsTailSlots(t *testing.T) {
-	// 3 arms, 9 walkers: the preferred arm is boosted to ⌈9/2⌉ = 5 slots
-	// by converting non-preferred slots from the tail, keeping the
-	// low-index portfolio alignment intact.
-	c := NewController([]string{"a", "b", "c"}, Config{Walkers: 9, Preferred: "c"})
-	got := c.Assign(0)
-	want := []int{0, 1, 2, 0, 1, 2, 2, 2, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("preferred boost = %v, want %v", got, want)
-	}
-
-	// 2 arms, even fleet: the boost equals the equal share, so the split
-	// must be IDENTICAL to the unpreferred one (and to round-robin) —
-	// the alignment that makes standing pat the static portfolio.
-	cp := NewController([]string{"a", "b"}, Config{Walkers: 8, Preferred: "b"})
-	if got, want := cp.Assign(0), []int{0, 1, 0, 1, 0, 1, 0, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("2-arm preferred split = %v, want unchanged %v", got, want)
-	}
-
-	// Unknown names are ignored.
-	cu := NewController([]string{"a", "b"}, Config{Walkers: 4, Preferred: "nope"})
-	if got, want := cu.Assign(0), []int{0, 1, 0, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("unknown preferred split = %v, want %v", got, want)
-	}
-}
-
 func TestDeadbandStandsPat(t *testing.T) {
 	c := NewController([]string{"a", "b"}, Config{Walkers: 8})
 	assign := c.Assign(0)

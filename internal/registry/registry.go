@@ -156,10 +156,6 @@ type Instance struct {
 	Entry *Entry
 	// NewModel builds a fresh model instance per call.
 	NewModel func() csp.Model
-	// reg is the registry the spec resolved against — the runtime tuning
-	// store lives there. Nil for hand-built instances, which then skip
-	// all runtime tuning.
-	reg *Registry
 }
 
 // Valid reports whether cfg solves this instance.
@@ -167,56 +163,13 @@ func (inst Instance) Valid(cfg []int) bool {
 	return inst.Entry.Valid(inst.Spec.Params, cfg)
 }
 
-// Size returns the instance's variable count (it builds one throwaway
-// model — negligible next to a solve, and the only size definition that
-// holds for every model regardless of how its parameters spell it).
-func (inst Instance) Size() int {
-	return inst.NewModel().Size()
-}
-
-// TunedParams returns the instance's Adaptive Search parameter set and
-// whether one is declared. A runtime tuning record for EXACTLY this
-// instance size (a racing win that carried parameters) takes precedence;
-// otherwise the entry's static per-size formula applies. The runtime
-// store's nearest-size fallback deliberately does NOT apply here — a win
-// recorded at n=24 must not override n=13's calibrated parameters.
+// TunedParams returns the instance's Adaptive Search parameter set (the
+// entry's static per-size formula) and whether one is declared.
 func (inst Instance) TunedParams() (adaptive.Params, bool) {
-	if inst.reg != nil && inst.reg.hasTuned(inst.Spec.Name) {
-		size := inst.Size()
-		if t, at, ok := inst.reg.TunedFor(inst.Spec.Name, size); ok && at == size && t.Params != nil {
-			return *t.Params, true
-		}
-	}
 	if inst.Entry.Tuned == nil {
 		return adaptive.Params{}, false
 	}
 	return inst.Entry.Tuned(inst.Spec.Params), true
-}
-
-// PreferredMethod returns the method a racing run should favour for this
-// instance, from the runtime tuning store with nearest-size fallback —
-// a method that won at n=16 is a sensible opening bias at n=17, and the
-// racing allocator corrects a stale hint within a window anyway. Empty
-// when nothing was recorded.
-func (inst Instance) PreferredMethod() string {
-	if inst.reg == nil || !inst.reg.hasTuned(inst.Spec.Name) {
-		return ""
-	}
-	t, _, ok := inst.reg.TunedFor(inst.Spec.Name, inst.Size())
-	if !ok {
-		return ""
-	}
-	return t.Method
-}
-
-// RecordWin persists a racing win for this instance at the given size
-// into the registry's runtime tuning store. No-op for instances not
-// resolved through a registry.
-func (inst Instance) RecordWin(size int, method string) {
-	if inst.reg == nil || method == "" {
-		return
-	}
-	inst.reg.RecordTuned(inst.Spec.Name, size, Tuning{Method: method})
 }
 
 // ReservedKeys are spec keys a model parameter may not use: "name"
@@ -241,32 +194,11 @@ func isReservedKey(k string) bool {
 	return false
 }
 
-// Tuning is a runtime-learned tuning record for one (model, size) key:
-// what the racing allocator (internal/race, core's method=racing) found
-// to win on instances of that size. It complements — never replaces —
-// Entry.Tuned: the static function carries calibrated per-size parameter
-// formulas, the runtime store carries what racing actually measured on
-// this process's workload.
-type Tuning struct {
-	// Method is the canonical method name that won ("adaptive", …).
-	Method string `json:"method,omitempty"`
-	// Params optionally carries winning Adaptive Search parameters.
-	Params *adaptive.Params `json:"params,omitempty"`
-	// Wins counts how many racing wins produced this record.
-	Wins int `json:"wins,omitempty"`
-}
-
 // Registry is a set of named model entries. The zero value is empty and
 // ready to use; most callers want the package-level Default registry.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*Entry
-	// tuned is the runtime tuning store, keyed by (model name, instance
-	// size). Size — not just model — is part of the key because tuned
-	// behaviour shifts with instance size (costas.TunedParams is itself a
-	// per-size formula): a racing win at n=24 must not override what is
-	// known about n=13.
-	tuned map[string]map[int]Tuning
 }
 
 // New returns an empty registry.
@@ -346,73 +278,6 @@ func (r *Registry) All() []*Entry {
 	return out
 }
 
-// RecordTuned merges a runtime tuning record for (model, size): a
-// non-empty Method and non-nil Params overwrite the stored ones, Wins
-// accumulate (a zero t.Wins counts as one win). Unknown models are
-// accepted — the store is advisory and consulted only through TunedFor.
-func (r *Registry) RecordTuned(model string, size int, t Tuning) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tuned == nil {
-		r.tuned = map[string]map[int]Tuning{}
-	}
-	if r.tuned[model] == nil {
-		r.tuned[model] = map[int]Tuning{}
-	}
-	cur := r.tuned[model][size]
-	if t.Method != "" {
-		cur.Method = t.Method
-	}
-	if t.Params != nil {
-		p := *t.Params
-		cur.Params = &p
-	}
-	if t.Wins > 0 {
-		cur.Wins += t.Wins
-	} else {
-		cur.Wins++
-	}
-	r.tuned[model][size] = cur
-}
-
-// TunedFor returns the runtime tuning record for (model, size) with a
-// nearest-size fallback: an exact match wins; otherwise the record whose
-// size is closest (ties to the smaller size) is returned together with
-// the size it was recorded at — callers that must not generalise across
-// sizes (parameter overrides) check at == size, callers that may (method
-// preference seeding) take the nearest record as a hint.
-func (r *Registry) TunedFor(model string, size int) (t Tuning, at int, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	bySize := r.tuned[model]
-	if len(bySize) == 0 {
-		return Tuning{}, 0, false
-	}
-	if t, hit := bySize[size]; hit {
-		return t, size, true
-	}
-	bestD := -1
-	for s, rec := range bySize {
-		d := s - size
-		if d < 0 {
-			d = -d
-		}
-		if bestD < 0 || d < bestD || (d == bestD && s < at) {
-			t, at, bestD = rec, s, d
-		}
-	}
-	return t, at, true
-}
-
-// hasTuned reports whether any runtime tuning exists for model — the
-// cheap guard that keeps the non-tuned solve path from paying the
-// size-lookup cost.
-func (r *Registry) hasTuned(model string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.tuned[model]) > 0
-}
-
 // Build resolves a spec against the registry: unknown names and
 // parameters, values below a parameter's minimum, and non-integer values
 // are errors; omitted parameters take their defaults. The returned
@@ -446,7 +311,6 @@ func (r *Registry) Build(spec Spec) (Instance, error) {
 		Spec:     Spec{Name: e.Name, Params: resolved},
 		Entry:    e,
 		NewModel: newModel,
-		reg:      r,
 	}, nil
 }
 

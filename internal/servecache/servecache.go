@@ -17,8 +17,8 @@
 //
 // internal/service fronts its HTTP solve path with a Cache of encoded
 // response bodies (hits cost zero worker slots and replay byte-identical
-// wire bytes); backend.Pool fronts a fleet with a Cache of core.Result
-// values, so a coordinator answers repeat solves without a network hop.
+// wire bytes). That is the one result cache: a solverd coordinator's
+// backend.Pool sits behind it, so repeat solves never reach the fleet.
 package servecache
 
 import (
