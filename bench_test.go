@@ -223,11 +223,12 @@ func BenchmarkExtensionCooperative(b *testing.B) {
 		coopParams := costas.TunedParams(benchParN)
 		coopParams.RestartLimit = -1 // the cooperative scheduler owns restarts
 		for i := 0; i < b.N; i++ {
-			res := walk.Cooperative(context.Background(), factory, walk.CoopConfig{Config: walk.Config{
+			res := walk.Virtual(context.Background(), factory, walk.Config{
 				Walkers:    16,
 				Factory:    adaptive.Factory(coopParams),
 				MasterSeed: uint64(i)*6151 + 1,
-			}}, 0)
+				Crossroads: &walk.Crossroads{},
+			}, 0)
 			if !res.Solved {
 				b.Fatal("unsolved")
 			}
@@ -238,11 +239,12 @@ func BenchmarkExtensionCooperative(b *testing.B) {
 		coopParams := costas.TunedParams(benchParN)
 		coopParams.RestartLimit = -1
 		for i := 0; i < b.N; i++ {
-			res := walk.CooperativeParallel(context.Background(), factory, walk.CoopConfig{Config: walk.Config{
+			res := walk.Parallel(context.Background(), factory, walk.Config{
 				Walkers:    16,
 				Factory:    adaptive.Factory(coopParams),
 				MasterSeed: uint64(i)*6151 + 1,
-			}})
+				Crossroads: &walk.Crossroads{},
+			})
 			if !res.Solved {
 				b.Fatal("unsolved")
 			}

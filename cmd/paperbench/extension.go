@@ -40,8 +40,9 @@ func runExtension(sc Scale) {
 			// engines run with internal restarts disabled.
 			coopParams := costas.TunedParams(n)
 			coopParams.RestartLimit = -1
-			rc := walk.Cooperative(context.Background(), modelFactory(n), walk.CoopConfig{Config: walk.Config{
-				Walkers: walkers, Factory: adaptive.Factory(coopParams), MasterSeed: seed}}, 0)
+			rc := walk.Virtual(context.Background(), modelFactory(n), walk.Config{
+				Walkers: walkers, Factory: adaptive.Factory(coopParams), MasterSeed: seed,
+				Crossroads: &walk.Crossroads{}}, 0)
 			if rc.Solved {
 				coop.Add(float64(rc.WinnerIterations))
 			}

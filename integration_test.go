@@ -154,10 +154,10 @@ func TestCooperativeExtensionSolvesHarderInstance(t *testing.T) {
 	}
 	coopParams := costas.TunedParams(15)
 	coopParams.RestartLimit = -1 // the cooperative scheduler owns restarts
-	res := walk.Cooperative(context.Background(), func() csp.Model { return costas.New(15, costas.Options{}) },
-		walk.CoopConfig{Config: walk.Config{Walkers: 8, Factory: adaptive.Factory(coopParams), MasterSeed: 2}}, 0)
+	res := walk.Virtual(context.Background(), func() csp.Model { return costas.New(15, costas.Options{}) },
+		walk.Config{Walkers: 8, Factory: adaptive.Factory(coopParams), MasterSeed: 2, Crossroads: &walk.Crossroads{}}, 0)
 	if !res.Solved || !costas.IsCostas(res.Solution) {
-		t.Fatalf("cooperative run failed: %+v", res.Result)
+		t.Fatalf("cooperative run failed: %+v", res)
 	}
 }
 

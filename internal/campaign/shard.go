@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/csp"
 	"repro/internal/registry"
+	"repro/internal/rng"
 	"repro/internal/walk"
 )
 
@@ -107,23 +108,15 @@ func NewShardRunner(spec Spec, shard int, cp *Checkpoint) (*ShardRunner, error) 
 	return r, nil
 }
 
-// epochSeed mixes the completed-epoch count into the master seed so each
-// epoch derives independent walker RNG streams. Epoch 0 uses the master
-// seed untouched: a one-epoch campaign walks exactly the trajectories a
-// plain walk run with the same seed and Shards·Walkers walkers would.
-func epochSeed(master uint64, epoch int64) uint64 {
-	if epoch == 0 {
-		return master
-	}
-	return master ^ (uint64(epoch) * 0x9E3779B97F4A7C15) // golden-ratio odd mixer
-}
-
 // build constructs fresh engines for the current epoch, re-armed from cp
 // when resuming (nil means epoch 0, engines keep their seeded random
-// start). Seeds are derived over the campaign's FULL walker width and
-// this shard takes its slice, so shards never share streams.
+// start). Each epoch mixes its index into the master seed (rng.Subseed;
+// epoch 0 keeps it, so a one-epoch campaign walks exactly the
+// trajectories a plain walk run with the same seed and Shards·Walkers
+// walkers would). Seeds are derived over the campaign's FULL walker width
+// and this shard takes its slice, so shards never share streams.
 func (r *ShardRunner) build(cp *Checkpoint) error {
-	seeds := core.DeriveSeeds(epochSeed(r.spec.MasterSeed, r.epoch), r.spec.Shards*r.spec.Walkers)
+	seeds := core.DeriveSeeds(rng.Subseed(r.spec.MasterSeed, uint64(r.epoch)), r.spec.Shards*r.spec.Walkers)
 	r.engines = make([]csp.Restartable, r.spec.Walkers)
 	for i := 0; i < r.spec.Walkers; i++ {
 		e := r.cfg.FactoryFor(r.shard*r.spec.Walkers+i)(r.inst.NewModel(), seeds[r.shard*r.spec.Walkers+i])
@@ -158,7 +151,7 @@ func (r *ShardRunner) Epoch() int64 { return r.epoch }
 func (r *ShardRunner) RunEpoch(ctx context.Context) (Checkpoint, *Solution, error) {
 	quantum := r.cfg.CheckEvery
 	if quantum <= 0 {
-		quantum = 64
+		quantum = walk.DefaultCheckEvery
 	}
 	var done int64
 	for done < r.spec.SnapshotIters {

@@ -26,6 +26,7 @@ import (
 	"repro/internal/csp"
 	"repro/internal/registry"
 	"repro/internal/rng"
+	"repro/internal/walk"
 )
 
 // BatchJob describes one solve in a batch: the instance plus the solver
@@ -435,12 +436,11 @@ func runReusedJob(ctx context.Context, job BatchJob, idx int, seed uint64, key r
 // cancelled ctx stops the solve promptly, mirroring the scheduler's
 // real-mode cancellation latency.
 func solveEngine(ctx context.Context, e csp.Engine) bool {
-	const quantum = 64 // the default CheckEvery probe period
 	for !e.Solved() && !e.Exhausted() {
 		if ctx.Err() != nil {
 			return e.Solved()
 		}
-		e.Step(quantum)
+		e.Step(walk.DefaultCheckEvery)
 	}
 	return e.Solved()
 }

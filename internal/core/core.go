@@ -136,7 +136,7 @@ type Options struct {
 	Model costas.Options
 
 	// CheckEvery is the termination-probe period / lockstep quantum c;
-	// 0 uses the default (64).
+	// 0 uses walk.DefaultCheckEvery.
 	CheckEvery int
 
 	// MaxIterations bounds each walker's iteration count. Precedence: a

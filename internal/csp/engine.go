@@ -124,8 +124,11 @@ type Factory func(model Model, seed uint64) Engine
 // Restartable is implemented by engines that can be restarted from an
 // externally supplied configuration. Three layers build on the hook:
 //
-//   - the cooperative multi-walk (§VI future work) seeds restarts from
-//     shared crossroads mid-run;
+//   - the multi-walk scheduler (internal/walk): a cooperative run
+//     (Config.Crossroads, §VI future work) seeds restarts from shared
+//     crossroads mid-run, and a racing run (Config.Allocator) re-arms a
+//     fresh engine of the walker's new method from its current
+//     configuration when it migrates;
 //   - the batch solving layer (internal/core.SolveBatch) pools engines
 //     across solves on a hot path: instead of allocating a fresh model and
 //     engine per instance, a worker re-arms a compatible cached engine

@@ -25,6 +25,19 @@ type ChaoticSeeder struct {
 	mixer uint64  // SplitMix64 stream combined with the orbit
 }
 
+// Subseed mixes a stage index k into a master seed, so each stage of a
+// long run (a racing window, a campaign epoch) derives its own walker
+// seeds. Stage 0 is the master seed untouched: a run that never leaves
+// its first stage walks exactly the trajectories a single-stage run with
+// the same seed would. Later stages XOR in k times the golden-ratio odd
+// constant.
+func Subseed(master, k uint64) uint64 {
+	if k == 0 {
+		return master
+	}
+	return master ^ (k * 0x9E3779B97F4A7C15)
+}
+
 // NewChaoticSeeder returns a seeder initialised from master. Two seeders
 // with different master seeds produce unrelated seed sequences; the same
 // master reproduces the identical sequence (the property the experiments

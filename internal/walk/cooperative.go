@@ -17,23 +17,24 @@ package walk
 // draws a crossroad from the pool with probability RestartFromPool
 // instead of a fresh random permutation (goal 2). Everything else is the
 // plain multi-walk scheduler of scheduler.go — the crossroads pool is a
-// communication policy plugged into its boundary hook, so the independent
-// scheme is the RestartFromPool = 0 special case, and both execution
-// modes come for free: Cooperative runs the deterministic lockstep
-// simulator (multi-threaded across MaxParallelism workers), and
-// CooperativeParallel runs real goroutines.
+// communication policy plugged into its boundary hook by
+// Config.Crossroads, so the independent scheme is the RestartFromPool = 0
+// special case, and both execution modes come for free: Virtual runs the
+// deterministic lockstep simulator (multi-threaded across MaxParallelism
+// workers) and Parallel runs real goroutines.
 //
 // Like the independent runner, the scheme is engine-generic: any method
 // whose engines implement csp.Restartable (all four in this repository
 // do) can participate, and portfolio mode mixes methods across walkers.
+// Engines that do not implement csp.Restartable simply never restart (the
+// scheduler cannot intercept their trajectory).
 //
 // The cooperative scheme is *not* part of the paper's evaluation — it is
 // its future work — so the benchmarks report it as an extension
-// (cmd/paperbench is unaffected; see the cooperative benches in
-// bench_test.go and the walk tests for behaviour).
+// (paperbench's extension experiment, the cooperative benches in
+// bench_test.go and the walk tests).
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,15 +43,16 @@ import (
 	"repro/internal/rng"
 )
 
-// CoopConfig extends Config with the communication policy.
+// Crossroads is the communication policy of a cooperative run
+// (Config.Crossroads). Lockstep runs stay deterministic for a given
+// master seed whatever MaxParallelism is: the pool communication runs
+// between rounds in walker order.
 //
 // The scheduler owns the restart policy: engines should be created with
 // their internal restarts disabled (e.g. adaptive.Params.RestartLimit =
 // −1), because the scheduler performs restarts itself every RestartEvery
 // iterations through the csp.Restartable hook, seeding them from the pool.
-type CoopConfig struct {
-	Config
-
+type Crossroads struct {
 	// PoolSize is the number of crossroads retained (default 8).
 	PoolSize int
 
@@ -67,12 +69,12 @@ type CoopConfig struct {
 	OfferThreshold float64
 
 	// RestartEvery is the scheduler's restart period per walker, in
-	// iterations (default 2n², mirroring the tuned engine restart limit).
+	// iterations (default 2n² for n variables, mirroring the tuned engine
+	// restart limit).
 	RestartEvery int64
 }
 
-func (c CoopConfig) withDefaults(n int) CoopConfig {
-	c.Config = c.Config.withDefaults()
+func (c Crossroads) withDefaults(n int) Crossroads {
 	if c.PoolSize <= 0 {
 		c.PoolSize = 8
 	}
@@ -153,32 +155,14 @@ func (p *crossroadPool) size() int {
 	return len(p.entries)
 }
 
-// CoopResult extends Result with communication counters.
-type CoopResult struct {
-	Result
-	Offers      int64 // configurations actually offered to the pool
-	Accepted    int64 // offers retained
-	PoolRestart int64 // restarts seeded from the pool
-
-	// EngineRestarts counts restarts the engines performed on their own,
-	// outside the scheduler (Σ engine Restarts − scheduler-issued). A
-	// non-zero value means a factory left an internal restart policy
-	// enabled, competing with the scheduler's pool seeding — the knob
-	// callers should watch when wiring a new factory.
-	EngineRestarts int64
-}
-
 // coopPolicy is the crossroads-pool communication policy plugged into the
 // scheduler's boundary hook. The pool is mutex-protected and the counters
 // are atomic, so the same policy value serves both execution modes; the
 // per-walker state (RNG, restart clock) is only ever touched by the one
 // goroutine driving that walker.
 type coopPolicy struct {
-	quantum         int
-	poolSize        int
-	offerThreshold  float64
-	restartEvery    int64
-	restartFromPool float64
+	Crossroads // with defaults applied
+	quantum    int
 
 	pool     *crossroadPool
 	rngs     []*rng.RNG
@@ -190,16 +174,13 @@ type coopPolicy struct {
 	schedRestarts atomic.Int64
 }
 
-func newCoopPolicy(cfg CoopConfig, seeds []uint64) *coopPolicy {
+func newCoopPolicy(cfg Crossroads, quantum int, seeds []uint64) *coopPolicy {
 	p := &coopPolicy{
-		quantum:         cfg.CheckEvery,
-		poolSize:        cfg.PoolSize,
-		offerThreshold:  cfg.OfferThreshold,
-		restartEvery:    cfg.RestartEvery,
-		restartFromPool: *cfg.RestartFromPool,
-		pool:            newCrossroadPool(cfg.PoolSize),
-		rngs:            make([]*rng.RNG, len(seeds)),
-		sinceRst:        make([]int64, len(seeds)),
+		Crossroads: cfg,
+		quantum:    quantum,
+		pool:       newCrossroadPool(cfg.PoolSize),
+		rngs:       make([]*rng.RNG, len(seeds)),
+		sinceRst:   make([]int64, len(seeds)),
 	}
 	for i, s := range seeds {
 		p.rngs[i] = rng.New(s ^ 0xD1B54A32D192ED03)
@@ -216,7 +197,7 @@ func (p *coopPolicy) boundary(i int, e csp.Engine) bool {
 	p.sinceRst[i] += int64(p.quantum)
 
 	cost := e.Cost()
-	if float64(cost) <= p.offerThreshold*float64(p.pool.bestCost()) || p.pool.size() < p.poolSize {
+	if float64(cost) <= p.OfferThreshold*float64(p.pool.bestCost()) || p.pool.size() < p.PoolSize {
 		p.offers.Add(1)
 		if p.pool.offer(e.Solution(), cost) {
 			p.accepted.Add(1)
@@ -224,10 +205,10 @@ func (p *coopPolicy) boundary(i int, e csp.Engine) bool {
 	}
 
 	rs, restartable := e.(csp.Restartable)
-	if restartable && p.sinceRst[i] >= p.restartEvery {
+	if restartable && p.sinceRst[i] >= p.RestartEvery {
 		p.sinceRst[i] = 0
 		cfgSlice := e.Solution() // correctly sized scratch copy
-		if p.rngs[i].Float64() < p.restartFromPool && p.pool.sample(cfgSlice, p.rngs[i]) {
+		if p.rngs[i].Float64() < *p.RestartFromPool && p.pool.sample(cfgSlice, p.rngs[i]) {
 			p.poolRestarts.Add(1)
 		} else {
 			p.rngs[i].PermInto(cfgSlice)
@@ -239,62 +220,13 @@ func (p *coopPolicy) boundary(i int, e csp.Engine) bool {
 	return false
 }
 
-// Cooperative runs the dependent multi-walk in lockstep virtual time (the
-// mode comparable to Virtual — the extension benchmarks compare the two
-// directly). Each walker runs the engine its factory builds; at every
-// quantum boundary it may offer its configuration to the pool, and every
-// RestartEvery iterations the scheduler restarts it — with probability
-// RestartFromPool from a pooled crossroad instead of a fresh random
-// permutation — through the csp.Restartable hook. Engines that do not
-// implement csp.Restartable simply never restart (the scheduler cannot
-// intercept their trajectory), so factories should disable their internal
-// restart policies to hand control to the scheduler.
-//
-// The lockstep rounds are stepped by MaxParallelism workers while the
-// pool communication runs between rounds in walker order, so results are
-// deterministic for a given master seed whatever the worker count.
-// Cancelling ctx stops the run at the next round boundary with a partial
-// result.
-//
-// maxVirtualIterations bounds each walker's virtual time (0 = unlimited).
-func Cooperative(ctx context.Context, newModel func() csp.Model, cfg CoopConfig, maxVirtualIterations int64) CoopResult {
-	return cooperative(ctx, newModel, cfg, maxVirtualIterations, modeLockstep)
-}
-
-// CooperativeParallel runs the dependent multi-walk on real goroutines —
-// the wall-clock counterpart of Cooperative, as Parallel is of Virtual.
-// Pool communication happens concurrently (the pool is mutex-protected),
-// so the winner is nondeterministic like Parallel's; the engines' own
-// iteration budgets and ctx bound the run.
-func CooperativeParallel(ctx context.Context, newModel func() csp.Model, cfg CoopConfig) CoopResult {
-	return cooperative(ctx, newModel, cfg, 0, modeReal)
-}
-
-// cooperative is the shared wrapper of both cooperative modes: build the
-// engines and the crossroads policy, hand them to the scheduler core, and
-// repackage the communication counters.
-func cooperative(ctx context.Context, newModel func() csp.Model, cfg CoopConfig, maxVirtualIterations int64, m runMode) CoopResult {
-	probe := newModel()
-	cfg = cfg.withDefaults(probe.Size())
-
-	engines, seeds := newEngines(newModel, cfg.Config)
-	pol := newCoopPolicy(cfg, seeds)
-
-	res := CoopResult{
-		Result: run(ctx, engines, schedule{
-			mode:       m,
-			quantum:    cfg.CheckEvery,
-			workers:    cfg.MaxParallelism,
-			maxVirtual: maxVirtualIterations,
-			policy:     pol,
-		}),
-	}
-	res.Offers = pol.offers.Load()
-	res.Accepted = pol.accepted.Load()
-	res.PoolRestart = pol.poolRestarts.Load()
+// count fills a finished run's communication counters into res.
+func (p *coopPolicy) count(res *Result) {
+	res.Offers = p.offers.Load()
+	res.Accepted = p.accepted.Load()
+	res.PoolRestart = p.poolRestarts.Load()
 	for _, s := range res.Stats {
 		res.EngineRestarts += s.Restarts
 	}
-	res.EngineRestarts -= pol.schedRestarts.Load()
-	return res
+	res.EngineRestarts -= p.schedRestarts.Load()
 }

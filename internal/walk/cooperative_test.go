@@ -2,27 +2,30 @@ package walk
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/adaptive"
 	"repro/internal/costas"
+	"repro/internal/csp"
 	"repro/internal/rng"
 	"repro/internal/tabu"
 )
 
-func coopConfig(n, walkers int, seed uint64) CoopConfig {
+func coopConfig(n, walkers int, seed uint64) Config {
 	// The scheduler owns the restart policy, so internal restarts are off.
 	p := costas.TunedParams(n)
 	p.RestartLimit = -1
 	cfg := capConfig(n, walkers, seed)
 	cfg.Factory = adaptive.Factory(p)
-	return CoopConfig{Config: cfg}
+	cfg.Crossroads = &Crossroads{}
+	return cfg
 }
 
 func TestCooperativeSolves(t *testing.T) {
-	res := Cooperative(context.Background(), capFactory(13), coopConfig(13, 8, 3), 0)
+	res := Virtual(context.Background(), capFactory(13), coopConfig(13, 8, 3), 0)
 	if !res.Solved {
-		t.Fatalf("cooperative run unsolved: %v", res.Result)
+		t.Fatalf("cooperative run unsolved: %v", res)
 	}
 	if !costas.IsCostas(res.Solution) {
 		t.Fatalf("invalid solution %v", res.Solution)
@@ -30,8 +33,8 @@ func TestCooperativeSolves(t *testing.T) {
 }
 
 func TestCooperativeDeterministic(t *testing.T) {
-	r1 := Cooperative(context.Background(), capFactory(12), coopConfig(12, 8, 7), 0)
-	r2 := Cooperative(context.Background(), capFactory(12), coopConfig(12, 8, 7), 0)
+	r1 := Virtual(context.Background(), capFactory(12), coopConfig(12, 8, 7), 0)
+	r2 := Virtual(context.Background(), capFactory(12), coopConfig(12, 8, 7), 0)
 	if r1.WinnerIterations != r2.WinnerIterations || r1.Winner != r2.Winner {
 		t.Fatalf("cooperative mode not reproducible: (%d,%d) vs (%d,%d)",
 			r1.Winner, r1.WinnerIterations, r2.Winner, r2.WinnerIterations)
@@ -43,8 +46,8 @@ func TestCooperativeZeroProbIsIndependent(t *testing.T) {
 	// to independent multi-walk with scheduler-side restarts).
 	cfg := coopConfig(12, 4, 5)
 	zero := 0.0
-	cfg.RestartFromPool = &zero // explicit 0: never seed restarts from the pool
-	res := Cooperative(context.Background(), capFactory(12), cfg, 0)
+	cfg.Crossroads.RestartFromPool = &zero // explicit 0: never seed restarts from the pool
+	res := Virtual(context.Background(), capFactory(12), cfg, 0)
 	if !res.Solved {
 		t.Fatal("independent-degenerate cooperative run unsolved")
 	}
@@ -57,7 +60,7 @@ func TestCooperativeCommunicationCounters(t *testing.T) {
 	// On an instance hard enough to need restarts, the pool must see
 	// offers and some accepted entries.
 	cfg := coopConfig(15, 8, 11)
-	res := Cooperative(context.Background(), capFactory(15), cfg, 0)
+	res := Virtual(context.Background(), capFactory(15), cfg, 0)
 	if !res.Solved {
 		t.Fatal("unsolved")
 	}
@@ -74,7 +77,7 @@ func TestCooperativeSchedulerOwnsRestarts(t *testing.T) {
 	// restart is scheduler-issued, so EngineRestarts must be zero; a
 	// factory with the engine's own restart policy left on must show up
 	// in the counter.
-	res := Cooperative(context.Background(), capFactory(15), coopConfig(15, 8, 11), 0)
+	res := Virtual(context.Background(), capFactory(15), coopConfig(15, 8, 11), 0)
 	if !res.Solved {
 		t.Fatal("unsolved")
 	}
@@ -84,7 +87,7 @@ func TestCooperativeSchedulerOwnsRestarts(t *testing.T) {
 
 	leaky := coopConfig(14, 4, 3)
 	leaky.Factory = adaptive.Factory(costas.TunedParams(14)) // RestartLimit left on
-	lres := Cooperative(context.Background(), capFactory(14), leaky, 0)
+	lres := Virtual(context.Background(), capFactory(14), leaky, 0)
 	var total int64
 	for _, s := range lres.Stats {
 		total += s.Restarts
@@ -95,7 +98,7 @@ func TestCooperativeSchedulerOwnsRestarts(t *testing.T) {
 }
 
 func TestCooperativeBudgetStops(t *testing.T) {
-	res := Cooperative(context.Background(), capFactory(18), coopConfig(18, 4, 1), 256)
+	res := Virtual(context.Background(), capFactory(18), coopConfig(18, 4, 1), 256)
 	if res.Solved {
 		t.Skip("improbably lucky run")
 	}
@@ -113,9 +116,9 @@ func TestCooperativePortfolio(t *testing.T) {
 	p := costas.TunedParams(12)
 	p.RestartLimit = -1
 	cfg.Portfolio = append(cfg.Portfolio, adaptive.Factory(p), tabu.Factory(tabu.Params{}))
-	res := Cooperative(context.Background(), capFactory(12), cfg, 0)
+	res := Virtual(context.Background(), capFactory(12), cfg, 0)
 	if !res.Solved || !costas.IsCostas(res.Solution) {
-		t.Fatalf("portfolio cooperative run failed: %+v", res.Result)
+		t.Fatalf("portfolio cooperative run failed: %+v", res)
 	}
 }
 
@@ -163,18 +166,50 @@ func TestCrossroadPoolCopiesConfigs(t *testing.T) {
 }
 
 func TestCooperativeVsVirtualSameInterface(t *testing.T) {
-	// The extension must be a drop-in: same Result surface, valid stats.
-	res := Cooperative(context.Background(), capFactory(12), coopConfig(12, 4, 9), 0)
-	var sum int64
-	for _, s := range res.Stats {
-		sum += s.Iterations
+	// Crossroads is one field on the same Config: the same run without it
+	// is the independent scheme, whose communication counters stay zero,
+	// and both report the same Result surface with consistent stats.
+	coop := coopConfig(12, 4, 9)
+	indep := coop
+	indep.Crossroads = nil
+	for name, res := range map[string]Result{
+		"cooperative": Virtual(context.Background(), capFactory(12), coop, 0),
+		"independent": Virtual(context.Background(), capFactory(12), indep, 0),
+	} {
+		var sum int64
+		for _, s := range res.Stats {
+			sum += s.Iterations
+		}
+		if sum != res.TotalIterations {
+			t.Fatalf("%s: TotalIterations %d != Σ stats %d", name, res.TotalIterations, sum)
+		}
+		if res.String() == "" {
+			t.Fatalf("%s: empty result string", name)
+		}
+		counters := res.Offers + res.Accepted + res.PoolRestart + res.EngineRestarts
+		if name == "independent" && counters != 0 {
+			t.Fatalf("independent run reports crossroads counters: %+v", res)
+		}
+		if name == "cooperative" && res.Offers == 0 {
+			t.Fatalf("cooperative run made no offers: %+v", res)
+		}
 	}
-	if sum != res.TotalIterations {
-		t.Fatalf("TotalIterations %d != Σ stats %d", res.TotalIterations, sum)
-	}
-	if res.String() == "" {
-		t.Fatal("empty result string")
-	}
+}
+
+func TestCrossroadsWithAllocatorPanics(t *testing.T) {
+	// A racing run rebuilds engines at window boundaries and has no
+	// crossroads pool; combining the two is a misconfiguration, not a
+	// static portfolio in disguise.
+	cfg := coopConfig(12, 4, 1)
+	cfg.Portfolio = []csp.Factory{cfg.Factory, tabu.Factory(tabu.Params{})}
+	cfg.Allocator = rotating{walkers: 4, arms: 2, window: 32}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Crossroads") || !strings.Contains(msg, "Allocator") {
+			t.Fatalf("Crossroads with Allocator: recovered %q, want a panic naming both", msg)
+		}
+	}()
+	Virtual(context.Background(), capFactory(12), cfg, 0)
 }
 
 func TestCoopConfigZeroProbSurvivesDefaults(t *testing.T) {
@@ -183,11 +218,11 @@ func TestCoopConfigZeroProbSurvivesDefaults(t *testing.T) {
 	// multi-walk" unreachable. With the pointer field, nil means the
 	// default and an explicit &0 stays 0.
 	zero := 0.0
-	cfg := CoopConfig{RestartFromPool: &zero}.withDefaults(12)
+	cfg := Crossroads{RestartFromPool: &zero}.withDefaults(12)
 	if *cfg.RestartFromPool != 0 {
 		t.Fatalf("explicit 0 rewritten to %v", *cfg.RestartFromPool)
 	}
-	def := CoopConfig{}.withDefaults(12)
+	def := Crossroads{}.withDefaults(12)
 	if def.RestartFromPool == nil || *def.RestartFromPool != 0.5 {
 		t.Fatalf("nil did not default to 0.5: %v", def.RestartFromPool)
 	}
@@ -198,9 +233,9 @@ func TestCooperativeOffersCountActualOffersOnly(t *testing.T) {
 	// pool offers. With a tiny pool and a strict interestingness filter,
 	// offers must be far rarer than quantum boundaries.
 	cfg := coopConfig(15, 8, 11)
-	cfg.PoolSize = 1
-	cfg.OfferThreshold = 0.01 // only near-best configurations qualify
-	res := Cooperative(context.Background(), capFactory(15), cfg, 0)
+	cfg.Crossroads.PoolSize = 1
+	cfg.Crossroads.OfferThreshold = 0.01 // only near-best configurations qualify
+	res := Virtual(context.Background(), capFactory(15), cfg, 0)
 	boundaries := res.TotalIterations / int64(64) // CheckEvery default
 	if boundaries < 10 {
 		t.Skip("run too short to distinguish offers from boundaries")
@@ -219,10 +254,10 @@ func TestCooperativeDeterministicAcrossWorkerCounts(t *testing.T) {
 	// but serialises pool communication in walker order between rounds, so
 	// the full outcome — winner, makespan, pool counters — must not depend
 	// on MaxParallelism.
-	run := func(workers int) CoopResult {
+	run := func(workers int) Result {
 		cfg := coopConfig(13, 8, 17)
 		cfg.MaxParallelism = workers
-		return Cooperative(context.Background(), capFactory(13), cfg, 0)
+		return Virtual(context.Background(), capFactory(13), cfg, 0)
 	}
 	r1 := run(1)
 	for _, workers := range []int{2, 4, 8} {
@@ -238,9 +273,9 @@ func TestCooperativeDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestCooperativeParallelSolves(t *testing.T) {
 	// The real-goroutine cooperative mode: same config surface, wall-clock
 	// concurrency, mutex-protected pool.
-	res := CooperativeParallel(context.Background(), capFactory(13), coopConfig(13, 8, 3))
+	res := Parallel(context.Background(), capFactory(13), coopConfig(13, 8, 3))
 	if !res.Solved {
-		t.Fatalf("cooperative parallel run unsolved: %v", res.Result)
+		t.Fatalf("cooperative parallel run unsolved: %v", res)
 	}
 	if !costas.IsCostas(res.Solution) {
 		t.Fatalf("invalid solution %v", res.Solution)
@@ -253,7 +288,7 @@ func TestCooperativeParallelSolves(t *testing.T) {
 func TestCooperativeContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // pre-cancelled: zero lockstep rounds
-	res := Cooperative(ctx, capFactory(18), coopConfig(18, 4, 1), 0)
+	res := Virtual(ctx, capFactory(18), coopConfig(18, 4, 1), 0)
 	if res.Solved {
 		t.Skip("improbably lucky run")
 	}
@@ -274,7 +309,7 @@ func TestCooperativeParallelContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := coopConfig(20, 2, 1)
-	res := CooperativeParallel(ctx, capFactory(20), cfg)
+	res := Parallel(ctx, capFactory(20), cfg)
 	if res.Solved {
 		t.Skip("improbably lucky run")
 	}

@@ -1,15 +1,13 @@
 package walk
 
-// Racing-portfolio execution: the window loop behind Config.Allocator.
+// Racing-portfolio execution: the policy behind Config.Allocator.
 //
 // A racing run is the independent multi-walk of §V-A with one twist: the
-// walker→method assignment is re-decided every fixed iteration window
-// instead of being pinned at start. The loop here is a thin driver over
-// the SAME scheduler core as every other mode — each window is one
-// run-to-cap invocation of runLockstep/runReal (schedule.capIters parks
-// every walker after exactly `window` iterations), after which the
-// Allocator observes the windowed csp.Stats deltas and boundary costs and
-// returns the next assignment.
+// walker→method assignment is re-decided every window instead of being
+// pinned at start. The window loop itself is drive() in scheduler.go —
+// each window runs every walker up to the window's end in virtual time,
+// after which the racer feeds the Allocator the windowed csp.Stats
+// deltas and boundary costs and applies the next assignment.
 //
 // Reassignment reuses the csp.Restartable rebuild path the campaign layer
 // already relies on: a walker moving to a new arm gets a FRESH engine
@@ -19,188 +17,135 @@ package walk
 // time (carried in Result accounting and in the lockstep winner
 // resolution) and counts one genuine restart.
 //
-// Determinism: in lockstep mode the per-window scheduler calls are
-// deterministic for any MaxParallelism (see scheduler.go), the loop body
-// runs on one goroutine, seeds derive from (MasterSeed, window), and the
-// Allocator contract requires decisions to be pure functions of the
-// observations — so a fixed-seed racing run reproduces bit for bit:
-// same winner, same stats, same allocation schedule.
+// Determinism: the racer runs on the window loop's goroutine, seeds
+// derive from (MasterSeed, window), and the Allocator contract requires
+// decisions to be pure functions of the observations — so a fixed-seed
+// lockstep racing run reproduces bit for bit: same winner, same stats,
+// same allocation schedule.
 
 import (
-	"context"
-	"time"
-
 	"repro/internal/csp"
 	"repro/internal/rng"
 )
+
+// WalkerObs is one walker's observation over one racing window: the arm
+// it ran, its csp.Stats deltas (Stats.Sub) across the window, and its
+// configuration cost at the window boundary.
+type WalkerObs struct {
+	Arm   int
+	Delta csp.Stats
+	Cost  int
+}
+
+// Allocator is the racing-portfolio policy plugged into Config.Allocator.
+// The scheduler core calls it only from the window loop's single
+// goroutine, in a fixed order: Assign(0) before the run, then for each
+// window w: Observe(w, obs) after the window completes, and Assign(w+1)
+// if the run continues. Implementations must be deterministic — a pure
+// function of construction parameters and the observations fed so far —
+// so lockstep runs stay bit-reproducible at any MaxParallelism.
+type Allocator interface {
+	// Window returns the length of window w in iterations of virtual
+	// time per walker (values < 1 fall back to a default length). The
+	// schedule may vary by window — racing policies typically start with
+	// short windows for cheap early decision points and grow them so
+	// long runs pay less observation noise and restart overhead.
+	Window(w int) int64
+	// Observe feeds the windowed per-walker observations for window w.
+	// It is also called for the final (possibly partial) window, so the
+	// observed deltas summed over all windows equal the engines' totals.
+	Observe(w int, obs []WalkerObs)
+	// Assign returns the walker→arm assignment for window w (length =
+	// walker count, values indexing Config.Portfolio). Assign(0) gives
+	// the initial split before anything has been observed.
+	Assign(w int) []int
+}
 
 // defaultRacingWindow is the reallocation cadence used when the Allocator
 // returns a non-positive Window().
 const defaultRacingWindow = 256
 
-// windowSeed derives the seed material for engines rebuilt at the start
-// of window w. Window 0 uses the master seed untouched, so the walkers
-// that stay on their initial arm walk exactly the trajectories a plain
-// (non-racing) run with the same seed would. Later windows mix the window
-// index with the same golden-ratio odd mixer the campaign epochs use.
-func windowSeed(master uint64, w int) uint64 {
-	if w == 0 {
-		return master
-	}
-	return master ^ (uint64(w) * 0x9E3779B97F4A7C15)
+// racer is a racing run's per-walker allocation state.
+type racer struct {
+	alloc  Allocator
+	arms   []csp.Factory
+	master uint64
+	assign []int // each walker's current arm
+	// prev[i] holds the stats of walker i's CURRENT engine that earlier
+	// windows already observed — zero for a fresh engine. It advances
+	// after each Observe and resets on migration, so the deltas fed to
+	// the Allocator tile each engine's counters exactly: the restart a
+	// migration charges (csp.Restartable.RestartFrom counts one) lands in
+	// the next window's delta, and the windowed deltas summed over a run
+	// equal the per-walker lifetime totals in Result.Stats.
+	prev []csp.Stats
 }
 
-// runRacing drives a racing-portfolio run in the given execution mode.
-// maxVirtual bounds each walker's virtual time in lockstep mode
-// (0 = unlimited); it is ignored in real mode, matching Parallel.
-func runRacing(ctx context.Context, newModel func() csp.Model, cfg Config, mode runMode, maxVirtual int64) Result {
-	start := time.Now()
-	arms := len(cfg.Portfolio)
-	if arms == 0 {
+func newRacer(cfg Config) *racer {
+	if len(cfg.Portfolio) == 0 {
 		panic("walk: Config.Allocator requires a non-empty Config.Portfolio (the arm factories)")
 	}
-	assign := nextAssignment(cfg.Allocator, 0, cfg.Walkers, arms)
-	seeds := rng.NewChaoticSeeder(cfg.MasterSeed).Seeds(cfg.Walkers)
-	engines := make([]csp.Engine, cfg.Walkers)
-	for i := range engines {
-		engines[i] = cfg.Portfolio[assign[i]](newModel(), seeds[i])
+	return &racer{
+		alloc:  cfg.Allocator,
+		arms:   cfg.Portfolio,
+		master: cfg.MasterSeed,
+		assign: nextAssignment(cfg.Allocator, 0, cfg.Walkers, len(cfg.Portfolio)),
+		prev:   make([]csp.Stats, cfg.Walkers),
 	}
-	// carry accumulates the counters of engines replaced at window
-	// boundaries, so per-walker Result.Stats and the winner's virtual time
-	// cover the walker's whole life, not just its last engine incarnation.
-	carry := make([]csp.Stats, cfg.Walkers)
-	base := make([]int64, cfg.Walkers) // carry[i].Iterations, for the lockstep winner
+}
 
-	// A random initial configuration can already be a solution (always for
-	// n ≤ 2) — same up-front detection as run().
+// window returns the length of window w.
+func (r *racer) window(w int) int64 {
+	if win := r.alloc.Window(w); win >= 1 {
+		return win
+	}
+	return defaultRacingWindow
+}
+
+// observe feeds the Allocator window w's per-walker observations.
+func (r *racer) observe(w int, engines []csp.Engine) {
+	obs := make([]WalkerObs, len(engines))
 	for i, e := range engines {
-		if e.Solved() {
-			return collectRacing(engines, carry, i, start, false)
-		}
+		st := e.Stats()
+		obs[i] = WalkerObs{Arm: r.assign[i], Delta: st.Sub(r.prev[i]), Cost: e.Cost()}
+		r.prev[i] = st
 	}
+	r.alloc.Observe(w, obs)
+}
 
-	workers := cfg.MaxParallelism
-	if workers > len(engines) {
-		workers = len(engines)
+// migrate applies the Allocator's assignment for window w: walkers moving
+// arms get a fresh engine re-armed from their current configuration, and
+// the replaced engine's counters go to s.carry. An engine that cannot
+// restart (no csp.Restartable) or has exhausted its budget stays put — a
+// rebuild would lose its position or silently refresh its budget.
+func (r *racer) migrate(w int, newModel func() csp.Model, engines []csp.Engine, s *schedule) {
+	next := nextAssignment(r.alloc, w, len(engines), len(r.arms))
+	var seeds []uint64
+	for i, old := range engines {
+		if next[i] == r.assign[i] {
+			continue
+		}
+		if old.Exhausted() {
+			next[i] = r.assign[i]
+			continue
+		}
+		if seeds == nil {
+			seeds = rng.NewChaoticSeeder(rng.Subseed(r.master, uint64(w))).Seeds(len(engines))
+		}
+		fresh, ok := r.arms[next[i]](newModel(), seeds[i]).(csp.Restartable)
+		if !ok {
+			next[i] = r.assign[i]
+			continue
+		}
+		fresh.RestartFrom(old.Solution())
+		if s.carry == nil {
+			s.carry = make([]csp.Stats, len(engines))
+		}
+		s.carry[i] = s.carry[i].Add(old.Stats())
+		engines[i] = fresh
+		r.prev[i] = csp.Stats{} // fresh engine: nothing observed yet
 	}
-
-	var virtualTime int64 // completed window time per walker (lockstep budget accounting)
-	// prev[i] holds the stats of walker i's CURRENT engine incarnation
-	// that earlier windows already observed — zero for a fresh engine. It
-	// advances after each Observe and resets on migration, so the deltas
-	// fed to the Allocator tile each incarnation's counters exactly: the
-	// restart a migration charges (csp.Restartable.RestartFrom counts one)
-	// lands in the next window's delta, and the windowed deltas summed
-	// over a run equal the per-walker lifetime totals in Result.Stats.
-	prev := make([]csp.Stats, cfg.Walkers)
-	caps := make([]int64, cfg.Walkers)
-	for w := 0; ; w++ {
-		win := cfg.Allocator.Window(w)
-		if win < 1 {
-			win = defaultRacingWindow
-		}
-		if mode == modeLockstep && maxVirtual > 0 {
-			if rem := maxVirtual - virtualTime; rem < win {
-				win = rem
-			}
-			if win <= 0 {
-				return collectRacing(engines, carry, -1, start, false)
-			}
-		}
-		for i, e := range engines {
-			caps[i] = e.Stats().Iterations + win
-		}
-		s := schedule{
-			mode:     mode,
-			quantum:  cfg.CheckEvery,
-			workers:  workers,
-			capIters: caps,
-			base:     base,
-		}
-		var winner int
-		if mode == modeLockstep {
-			winner = runLockstep(ctx, engines, s)
-		} else {
-			winner = runReal(ctx, engines, s)
-		}
-		virtualTime += win
-
-		obs := make([]WalkerObs, cfg.Walkers)
-		for i, e := range engines {
-			s := e.Stats()
-			obs[i] = WalkerObs{Arm: assign[i], Delta: s.Sub(prev[i]), Cost: e.Cost()}
-			prev[i] = s
-		}
-		cfg.Allocator.Observe(w, obs)
-
-		if winner >= 0 {
-			return collectRacing(engines, carry, winner, start, false)
-		}
-		if ctx.Err() != nil {
-			cancelled := false
-			for _, e := range engines {
-				if !e.Exhausted() {
-					cancelled = true
-					break
-				}
-			}
-			return collectRacing(engines, carry, -1, start, cancelled)
-		}
-		allDead := true
-		for _, e := range engines {
-			if !e.Exhausted() {
-				allDead = false
-				break
-			}
-		}
-		if allDead {
-			return collectRacing(engines, carry, -1, start, false)
-		}
-		if mode == modeLockstep && maxVirtual > 0 && virtualTime >= maxVirtual {
-			// The virtual budget just ran out: no further window will run,
-			// so reassigning (and paying restarts nobody observes) would
-			// only distort the final stats.
-			return collectRacing(engines, carry, -1, start, false)
-		}
-
-		// Reassignment: walkers moving arms get a fresh engine re-armed
-		// from their current configuration. An engine that cannot restart
-		// (no csp.Restartable) or has exhausted its budget stays put — a
-		// rebuild would lose its position or silently refresh its budget.
-		next := nextAssignment(cfg.Allocator, w+1, cfg.Walkers, arms)
-		var wseeds []uint64
-		for i := range engines {
-			if next[i] == assign[i] {
-				continue
-			}
-			old := engines[i]
-			if old.Exhausted() {
-				next[i] = assign[i]
-				continue
-			}
-			if wseeds == nil {
-				wseeds = rng.NewChaoticSeeder(windowSeed(cfg.MasterSeed, w+1)).Seeds(cfg.Walkers)
-			}
-			fresh := cfg.Portfolio[next[i]](newModel(), wseeds[i])
-			re, ok := fresh.(csp.Restartable)
-			if !ok {
-				next[i] = assign[i]
-				continue
-			}
-			re.RestartFrom(old.Solution())
-			carry[i] = carry[i].Add(old.Stats())
-			base[i] = carry[i].Iterations
-			engines[i] = re
-			prev[i] = csp.Stats{} // fresh incarnation: nothing observed yet
-		}
-		assign = next
-
-		// A restart can land on a solution; resolve it on virtual time
-		// exactly like a lockstep round would.
-		if w := lockstepWinner(engines, base); w >= 0 {
-			return collectRacing(engines, carry, w, start, false)
-		}
-	}
+	r.assign = next
 }
 
 // nextAssignment fetches and validates the Allocator's assignment for
@@ -217,26 +162,4 @@ func nextAssignment(a Allocator, w, walkers, arms int) []int {
 		}
 	}
 	return assign
-}
-
-// collectRacing assembles a racing Result: per-walker stats are the
-// lifetime sums across engine incarnations (carry + current engine), and
-// the winner's iteration count is its true virtual time.
-func collectRacing(engines []csp.Engine, carry []csp.Stats, winner int, start time.Time, cancelled bool) Result {
-	res := Result{
-		Winner:    winner,
-		WallTime:  time.Since(start),
-		Cancelled: cancelled,
-		Stats:     make([]csp.Stats, len(engines)),
-	}
-	for i, e := range engines {
-		res.Stats[i] = carry[i].Add(e.Stats())
-		res.TotalIterations += res.Stats[i].Iterations
-	}
-	if winner >= 0 {
-		res.Solved = true
-		res.Solution = engines[winner].Solution()
-		res.WinnerIterations = res.Stats[winner].Iterations
-	}
-	return res
 }

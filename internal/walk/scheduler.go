@@ -1,17 +1,27 @@
 package walk
 
-// This file is the scheduler core shared by every multi-walk run mode.
-// Parallel, Virtual and Cooperative are thin wrappers around one loop,
-// run(), parameterised along two axes:
+// This file is the scheduler shared by every multi-walk run: Parallel and
+// Virtual are one-line calls into drive(), the single window loop.
 //
-//   - execution mode: real goroutines (first CAS on a done flag wins) or
-//     lockstep virtual time (barrier rounds of one quantum each; the
-//     walker that solved at the lowest iteration count wins, exactly as a
-//     K-core machine would decide it);
+// A run is a sequence of windows. A run without an Allocator is one
+// window, uncapped unless a virtual-time budget caps it; a racing run's
+// Allocator decides each window's length and, between windows, which
+// arm every walker runs next (racing.go). Each window is one call of the
+// step loop of the execution mode:
 //
-//   - communication policy: nil for the independent scheme of §V-A, or a
-//     policy whose boundary hook runs after each walker's quantum — the
-//     cooperative crossroads pool of §VI plugs in here.
+//   - real goroutines (runReal: first CAS on a done flag wins) or
+//     lockstep virtual time (runLockstep: barrier rounds of one quantum
+//     each; the walker that solved at the lowest virtual time wins,
+//     exactly as a K-core machine would decide it);
+//
+//   - with an optional communication policy whose boundary hook runs
+//     after each walker's quantum — the cooperative crossroads pool of
+//     §VI (Config.Crossroads) plugs in here.
+//
+// The up-front solved check, the terminal checks after a window (winner,
+// cancellation, every walker dead, virtual budget spent), the
+// cancelled-run detection and the Result assembly (collect) exist once,
+// in drive, for independent, cooperative and racing runs alike.
 //
 // Cancellation is uniform: every mode honours ctx. Real-mode workers
 // probe ctx after each quantum (the paper's "non-blocking tests every c
@@ -24,10 +34,11 @@ package walk
 // Determinism: in lockstep mode the engine quanta are claimed dynamically
 // by a worker pool (each engine is stepped by exactly one worker per round,
 // and rounds are separated by a barrier), while policy boundary hooks run
-// sequentially in walker order between rounds. Per-walker trajectories
-// and all pool communication are therefore identical whatever
-// MaxParallelism is — multi-threaded lockstep runs reproduce the
-// single-threaded ones bit for bit.
+// sequentially in walker order between rounds, and the window loop itself
+// runs on one goroutine. Per-walker trajectories, pool communication and
+// racing decisions are therefore identical whatever MaxParallelism is —
+// multi-threaded lockstep runs reproduce the single-threaded ones bit for
+// bit.
 
 import (
 	"context"
@@ -36,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/csp"
+	"repro/internal/rng"
 )
 
 // runMode selects the scheduler's execution mode.
@@ -63,77 +75,156 @@ type policy interface {
 	boundary(i int, e csp.Engine) bool
 }
 
-// schedule bundles the run() parameters resolved from a Config.
+// schedule is one window's parameters for runReal/runLockstep.
 type schedule struct {
-	mode    runMode
 	quantum int // iterations per probe / lockstep round
 	workers int // worker goroutines (≤ number of engines)
-	// maxVirtual bounds each walker's virtual time in lockstep mode
-	// (0 = unlimited); ignored in real mode, where the engines' own
-	// iteration budgets bound the run.
-	maxVirtual int64
-	policy     policy
-	// capIters, when non-nil, parks engine i once its own iteration
-	// counter reaches capIters[i]: steps are clamped to the remainder and
-	// a fully parked field ends the run with no winner. The racing window
-	// loop (racing.go) uses this to advance every walker by exactly one
-	// reallocation window in both execution modes.
-	capIters []int64
-	// base holds per-walker virtual-time offsets added to the engines' own
-	// iteration counters when the lockstep winner is resolved. The racing
-	// loop rebuilds engines mid-run (fresh counters), carrying the replaced
-	// engines' iterations here so the winner is still decided on true
-	// virtual time. Nil means no offsets.
-	base []int64
+	policy  policy
+	// until, when positive, ends the window at that virtual time: a
+	// walker's steps are clamped to the remainder, it parks there, and a
+	// fully parked field ends the window with no winner. 0 is uncapped.
+	until int64
+	// carry holds, per walker, the counters of the engines a racing
+	// migration replaced (nil until one is), so virtual time and Result
+	// stats cover each walker's whole life, not just its current engine.
+	carry []csp.Stats
 }
 
-// capRemaining returns how many iterations engine i may still run before
-// its cap parks it (and whether a cap applies at all).
-func (s schedule) capRemaining(i int, e csp.Engine) (int64, bool) {
-	if s.capIters == nil {
-		return 0, false
+// virtualTime is walker i's virtual time: its engine's iterations plus
+// those of the engines it replaced.
+func (s schedule) virtualTime(i int, e csp.Engine) int64 {
+	it := e.Stats().Iterations
+	if s.carry != nil {
+		it += s.carry[i].Iterations
 	}
-	return s.capIters[i] - e.Stats().Iterations, true
+	return it
 }
 
-// run is the single scheduler loop behind Parallel, Virtual and
-// Cooperative. It drives the given engines to the first solution,
-// exhaustion of every walker, the virtual-time budget, or cancellation —
-// whichever comes first — and assembles the Result.
-func run(ctx context.Context, engines []csp.Engine, s schedule) Result {
-	start := time.Now()
+// stepFor returns how many iterations walker i may run next: one quantum,
+// clamped to the window's remainder; ≤ 0 means it is parked at the
+// window's end.
+func (s schedule) stepFor(i int, e csp.Engine) int {
+	if s.until == 0 {
+		return s.quantum
+	}
+	if rem := s.until - s.virtualTime(i, e); rem < int64(s.quantum) {
+		return int(rem)
+	}
+	return s.quantum
+}
+
+// drive is the one multi-walk loop behind Parallel and Virtual. It builds
+// the walkers, runs windows until a terminal condition — a winner, ctx
+// cancelled, every walker exhausted, the virtual budget spent, or the end
+// of a run's only window — and assembles the Result. budget bounds each
+// walker's virtual time (0 = unlimited); Parallel passes 0.
+func drive(ctx context.Context, newModel func() csp.Model, cfg Config, mode runMode, budget int64) Result {
+	cfg = cfg.withDefaults()
+	var rc *racer
+	if cfg.Allocator != nil {
+		if cfg.Crossroads != nil {
+			panic("walk: Config.Crossroads and Config.Allocator cannot be combined (a racing run has no crossroads pool)")
+		}
+		rc = newRacer(cfg)
+	}
+	seeds := rng.NewChaoticSeeder(cfg.MasterSeed).Seeds(cfg.Walkers)
+	engines := make([]csp.Engine, cfg.Walkers)
+	for i := range engines {
+		factory := cfg.FactoryFor(i)
+		if rc != nil {
+			factory = rc.arms[rc.assign[i]]
+		}
+		engines[i] = factory(newModel(), seeds[i])
+	}
+	s := schedule{quantum: cfg.CheckEvery, workers: min(cfg.MaxParallelism, cfg.Walkers)}
+	var pol *coopPolicy
+	if cfg.Crossroads != nil {
+		pol = newCoopPolicy(cfg.Crossroads.withDefaults(len(engines[0].Solution())), cfg.CheckEvery, seeds)
+		s.policy = pol
+	}
+	if budget > 0 && rc == nil {
+		// Without racing windows a budget ends at a lockstep round
+		// boundary: the first multiple of the quantum at or past it.
+		q := int64(cfg.CheckEvery)
+		budget = (budget + q - 1) / q * q
+	}
 
 	// A random initial configuration can already be a solution (always
-	// for n ≤ 2); both loops skip solved engines, so detect this up front
-	// — the lockstep loop would otherwise spin forever.
+	// for n ≤ 2); the step loops skip solved engines, so detect this up
+	// front — the lockstep loop would otherwise spin forever.
+	start := time.Now()
+	winner := -1
 	for i, e := range engines {
 		if e.Solved() {
-			return collect(engines, i, start)
+			winner = i
+			break
 		}
 	}
-
-	if s.workers > len(engines) {
-		s.workers = len(engines)
-	}
-
-	var winner int
-	switch s.mode {
-	case modeLockstep:
-		winner = runLockstep(ctx, engines, s)
-	default:
-		winner = runReal(ctx, engines, s)
-	}
-	res := collect(engines, winner, start)
-	// An unsolved run with live walkers left only stops because ctx fired
-	// (the virtual-time budget is the other early exit — walkers it halts
-	// are still unexhausted, so check ctx, not liveness alone).
-	if winner < 0 && ctx.Err() != nil {
-		for _, e := range engines {
-			if !e.Exhausted() {
-				res.Cancelled = true
-				break
-			}
+	for w := 0; winner < 0; w++ {
+		if rc != nil {
+			s.until += rc.window(w)
 		}
+		if budget > 0 && (s.until == 0 || s.until > budget) {
+			s.until = budget
+		}
+		if mode == modeLockstep {
+			winner = runLockstep(ctx, engines, s)
+		} else {
+			winner = runReal(ctx, engines, s)
+		}
+		if rc != nil {
+			rc.observe(w, engines)
+		}
+		if rc == nil || winner >= 0 || ctx.Err() != nil || s.until == budget || allExhausted(engines) {
+			break
+		}
+		rc.migrate(w+1, newModel, engines, &s)
+		// A restart can land on a solution; resolve it on virtual time
+		// exactly like a lockstep round would.
+		winner = lockstepWinner(engines, s)
+	}
+
+	res := collect(ctx, engines, s.carry, winner, start)
+	if pol != nil {
+		pol.count(&res)
+	}
+	return res
+}
+
+// allExhausted reports whether every walker hit its iteration budget.
+func allExhausted(engines []csp.Engine) bool {
+	for _, e := range engines {
+		if !e.Exhausted() {
+			return false
+		}
+	}
+	return true
+}
+
+// collect assembles a Result. Per-walker stats add the carry of replaced
+// engines (nil when none was); an unsolved run with live walkers left is
+// flagged Cancelled when ctx fired — the virtual-time budget is the other
+// early exit, and the walkers it halts are still unexhausted, so check
+// ctx, not liveness alone.
+func collect(ctx context.Context, engines []csp.Engine, carry []csp.Stats, winner int, start time.Time) Result {
+	res := Result{
+		Winner:   winner,
+		WallTime: time.Since(start),
+		Stats:    make([]csp.Stats, len(engines)),
+	}
+	for i, e := range engines {
+		res.Stats[i] = e.Stats()
+		if carry != nil {
+			res.Stats[i] = carry[i].Add(res.Stats[i])
+		}
+		res.TotalIterations += res.Stats[i].Iterations
+	}
+	if winner >= 0 {
+		res.Solved = true
+		res.Solution = engines[winner].Solution()
+		res.WinnerIterations = res.Stats[winner].Iterations
+	} else if ctx.Err() != nil {
+		res.Cancelled = !allExhausted(engines)
 	}
 	return res
 }
@@ -169,14 +260,9 @@ func runReal(ctx context.Context, engines []csp.Engine, s schedule) int {
 					if e.Solved() || e.Exhausted() {
 						continue
 					}
-					step := s.quantum
-					if rem, capped := s.capRemaining(i, e); capped {
-						if rem <= 0 {
-							continue // parked at its window cap
-						}
-						if rem < int64(step) {
-							step = int(rem)
-						}
+					step := s.stepFor(i, e)
+					if step <= 0 {
+						continue // parked at the window's end
 					}
 					progress = true
 					if e.Step(step) {
@@ -208,10 +294,9 @@ func runReal(ctx context.Context, engines []csp.Engine, s schedule) int {
 // deterministic for any worker count.
 func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 	var (
-		anySolved   atomic.Bool
-		next        atomic.Int64 // the round's next unclaimed walker
-		virtualTime int64
-		wg          sync.WaitGroup
+		anySolved atomic.Bool
+		next      atomic.Int64 // the round's next unclaimed walker
+		wg        sync.WaitGroup
 	)
 	// stepped[i] marks walkers that advanced this round without solving —
 	// the ones whose quantum boundary the policy sees. Each index is
@@ -230,14 +315,9 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 			if e.Solved() || e.Exhausted() {
 				continue
 			}
-			step := s.quantum
-			if rem, capped := s.capRemaining(i, e); capped {
-				if rem <= 0 {
-					continue // parked at its window cap
-				}
-				if rem < int64(step) {
-					step = int(rem)
-				}
+			step := s.stepFor(i, e)
+			if step <= 0 {
+				continue // parked at the window's end
 			}
 			if e.Step(step) {
 				anySolved.Store(true)
@@ -295,21 +375,14 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 				}
 			}
 		}
-		virtualTime += int64(s.quantum)
 
 		if anySolved.Load() {
-			return lockstepWinner(engines, s.base)
-		}
-		if s.maxVirtual > 0 && virtualTime >= s.maxVirtual {
-			return -1
+			return lockstepWinner(engines, s)
 		}
 		allDead := true
 		for i, e := range engines {
-			if e.Solved() || e.Exhausted() {
-				continue
-			}
-			if rem, capped := s.capRemaining(i, e); capped && rem <= 0 {
-				continue // parked, not dead — the caller's window loop resumes it
+			if e.Solved() || e.Exhausted() || s.stepFor(i, e) <= 0 {
+				continue // parked walkers end the window, not the run
 			}
 			allDead = false
 			break
@@ -322,21 +395,15 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 
 // lockstepWinner picks the walker that solved at the lowest virtual time;
 // within one round several may have solved — compare exact per-walker
-// iteration counts, which is exactly what a K-core machine would observe.
-// base, when non-nil, holds per-walker virtual-time offsets (iterations
-// accumulated on engines replaced mid-run by the racing loop).
-func lockstepWinner(engines []csp.Engine, base []int64) int {
+// virtual times, which is exactly what a K-core machine would observe.
+func lockstepWinner(engines []csp.Engine, s schedule) int {
 	winner := -1
 	var best int64
 	for i, e := range engines {
 		if !e.Solved() {
 			continue
 		}
-		it := e.Stats().Iterations
-		if base != nil {
-			it += base[i]
-		}
-		if winner == -1 || it < best {
+		if it := s.virtualTime(i, e); winner == -1 || it < best {
 			winner, best = i, it
 		}
 	}

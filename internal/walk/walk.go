@@ -10,8 +10,8 @@
 // of K i.i.d. sequential runtimes; with (near-)exponential runtime
 // distributions this yields the near-linear speed-ups of Tables III–V.
 //
-// All run modes are thin wrappers over one scheduler core (scheduler.go)
-// parameterised by execution mode and an optional communication policy:
+// The package has two entry points, one per execution mode, and both are
+// one-line calls into the same window loop (scheduler.go):
 //
 //   - Parallel: real concurrency, one goroutine per walker (up to
 //     GOMAXPROCS effective hardware parallelism). Each walker checks a
@@ -22,17 +22,19 @@
 //     fixed iteration quanta of virtual time, with K far beyond the
 //     physical core count (the paper's 256…8192-core runs on a laptop).
 //     Because every walker advances at the same virtual rate, the winner
-//     and its iteration count are *exactly* what a K-core run would
+//     and its iteration count are *exactly* what a K-core machine would
 //     produce; only the conversion to seconds goes through a platform's
 //     calibrated iteration rate (internal/cluster). Conveniently the
 //     simulation costs roughly one sequential solve in total work: the
 //     winner's iteration count shrinks like 1/K while K walkers advance.
 //
-//   - Cooperative / CooperativeParallel (cooperative.go): the dependent
-//     scheme of §VI — the same two modes with a crossroads-pool
-//     communication policy plugged into the scheduler.
+// Two optional policies ride on either mode: Config.Crossroads makes the
+// walkers share a crossroads pool — the dependent scheme the paper's §VI
+// sketches (cooperative.go) — and Config.Allocator turns the run into a
+// racing portfolio that reassigns walkers across methods at window
+// boundaries (racing.go).
 //
-// Every mode honours context cancellation and deadlines: a cancelled run
+// Every run honours context cancellation and deadlines: a cancelled run
 // stops promptly (within one probe quantum per walker in real mode, one
 // lockstep round in virtual mode) and returns a partial Result with
 // Winner == −1 and all per-walker Stats filled in.
@@ -45,8 +47,12 @@ import (
 	"time"
 
 	"repro/internal/csp"
-	"repro/internal/rng"
 )
+
+// DefaultCheckEvery is the probe period c (and lockstep quantum) used
+// when Config.CheckEvery is unset. Layers that step engines themselves
+// (campaign epochs, core's single-engine jobs) probe at the same period.
+const DefaultCheckEvery = 64
 
 // Config describes a multi-walk run.
 type Config struct {
@@ -56,7 +62,8 @@ type Config struct {
 
 	// CheckEvery is the termination-probe period c in iterations
 	// (§V-A: "non-blocking tests are involved every c iterations");
-	// it is also the lockstep quantum of the virtual mode. Default 64.
+	// it is also the lockstep quantum of the virtual mode. Default
+	// DefaultCheckEvery.
 	CheckEvery int
 
 	// Factory builds each walker's engine (method + parameters); it is
@@ -85,41 +92,14 @@ type Config struct {
 	// the windowed per-walker stats it observes (internal/race provides
 	// the policy). Reassigned walkers keep their configuration — the new
 	// arm's engine is re-armed via csp.Restartable.RestartFrom — and
-	// their accumulated virtual time. Requires a non-empty Portfolio.
+	// their accumulated virtual time. Requires a non-empty Portfolio and
+	// cannot be combined with Crossroads.
 	Allocator Allocator
-}
 
-// WalkerObs is one walker's observation over one racing window: the arm
-// it ran, its csp.Stats deltas (Stats.Sub) across the window, and its
-// configuration cost at the window boundary.
-type WalkerObs struct {
-	Arm   int
-	Delta csp.Stats
-	Cost  int
-}
-
-// Allocator is the racing-portfolio policy plugged into Config.Allocator.
-// The scheduler core calls it only from the window loop's single
-// goroutine, in a fixed order: Assign(0) before the run, then for each
-// window w: Observe(w, obs) after the window completes, and Assign(w+1)
-// if the run continues. Implementations must be deterministic — a pure
-// function of construction parameters and the observations fed so far —
-// so lockstep runs stay bit-reproducible at any MaxParallelism.
-type Allocator interface {
-	// Window returns the length of window w in iterations of virtual
-	// time per walker (values < 1 fall back to a default length). The
-	// schedule may vary by window — racing policies typically start with
-	// short windows for cheap early decision points and grow them so
-	// long runs pay less observation noise and restart overhead.
-	Window(w int) int64
-	// Observe feeds the windowed per-walker observations for window w.
-	// It is also called for the final (possibly partial) window, so the
-	// observed deltas summed over all windows equal the engines' totals.
-	Observe(w int, obs []WalkerObs)
-	// Assign returns the walker→arm assignment for window w (length =
-	// walker count, values indexing Config.Portfolio). Assign(0) gives
-	// the initial split before anything has been observed.
-	Assign(w int) []int
+	// Crossroads, when non-nil, makes the walkers cooperate through a
+	// shared crossroads pool (the dependent scheme of §VI, see
+	// cooperative.go); nil is the independent scheme.
+	Crossroads *Crossroads
 }
 
 func (c Config) withDefaults() Config {
@@ -127,7 +107,7 @@ func (c Config) withDefaults() Config {
 		c.Walkers = 1
 	}
 	if c.CheckEvery <= 0 {
-		c.CheckEvery = 64
+		c.CheckEvery = DefaultCheckEvery
 	}
 	if c.MaxParallelism <= 0 {
 		c.MaxParallelism = runtime.GOMAXPROCS(0)
@@ -151,18 +131,6 @@ func (c Config) FactoryFor(i int) csp.Factory {
 	return c.Factory
 }
 
-// newEngines builds the walker engines with chaotically-derived seeds,
-// returning the per-walker seeds alongside them (the cooperative policy
-// derives its per-walker RNG streams from the same seeds).
-func newEngines(newModel func() csp.Model, cfg Config) ([]csp.Engine, []uint64) {
-	seeds := rng.NewChaoticSeeder(cfg.MasterSeed).Seeds(cfg.Walkers)
-	engines := make([]csp.Engine, cfg.Walkers)
-	for i := range engines {
-		engines[i] = cfg.FactoryFor(i)(newModel(), seeds[i])
-	}
-	return engines, seeds
-}
-
 // Result reports the outcome of a multi-walk run.
 type Result struct {
 	Solved   bool
@@ -177,7 +145,8 @@ type Result struct {
 	// work, ≈ K × WinnerIterations for the real mode).
 	TotalIterations int64
 
-	// WallTime is the real elapsed time of the call.
+	// WallTime is the real elapsed time of the scheduler loop, from the
+	// built walkers to the Result (initial engine construction excluded).
 	WallTime time.Duration
 
 	// Cancelled reports that the run stopped because ctx was cancelled
@@ -188,6 +157,18 @@ type Result struct {
 
 	// Stats holds each walker's final counters.
 	Stats []csp.Stats
+
+	// Crossroads communication counters, zero unless Config.Crossroads
+	// is set: configurations actually offered to the pool, offers
+	// retained, and restarts seeded from the pool.
+	Offers, Accepted, PoolRestart int64
+
+	// EngineRestarts counts restarts the engines of a Crossroads run
+	// performed on their own, outside the scheduler (Σ engine Restarts −
+	// scheduler-issued). A non-zero value means a factory left an internal
+	// restart policy enabled, competing with the scheduler's pool seeding
+	// — the knob callers should watch when wiring a new factory.
+	EngineRestarts int64
 }
 
 // Parallel runs K walkers concurrently on real goroutines and returns as
@@ -195,18 +176,9 @@ type Result struct {
 // iteration budget).
 //
 // newModel must return a fresh, independent model instance per call; it is
-// invoked once per walker.
+// invoked once per walker (and once per racing migration).
 func Parallel(ctx context.Context, newModel func() csp.Model, cfg Config) Result {
-	cfg = cfg.withDefaults()
-	if cfg.Allocator != nil {
-		return runRacing(ctx, newModel, cfg, modeReal, 0)
-	}
-	engines, _ := newEngines(newModel, cfg)
-	return run(ctx, engines, schedule{
-		mode:    modeReal,
-		quantum: cfg.CheckEvery,
-		workers: cfg.MaxParallelism,
-	})
+	return drive(ctx, newModel, cfg, modeReal, 0)
 }
 
 // Virtual advances K walker engines in lockstep quanta of CheckEvery
@@ -218,37 +190,10 @@ func Parallel(ctx context.Context, newModel func() csp.Model, cfg Config) Result
 // boundary with a partial Result.
 //
 // maxVirtualIterations bounds each walker's virtual time (0 = unlimited).
+// A run without an Allocator stops at the first lockstep round boundary
+// at or past the bound; a racing run cuts its last window at the bound.
 func Virtual(ctx context.Context, newModel func() csp.Model, cfg Config, maxVirtualIterations int64) Result {
-	cfg = cfg.withDefaults()
-	if cfg.Allocator != nil {
-		return runRacing(ctx, newModel, cfg, modeLockstep, maxVirtualIterations)
-	}
-	engines, _ := newEngines(newModel, cfg)
-	return run(ctx, engines, schedule{
-		mode:       modeLockstep,
-		quantum:    cfg.CheckEvery,
-		workers:    cfg.MaxParallelism,
-		maxVirtual: maxVirtualIterations,
-	})
-}
-
-// collect assembles a Result from finished engines.
-func collect(engines []csp.Engine, winner int, start time.Time) Result {
-	res := Result{
-		Winner:   winner,
-		WallTime: time.Since(start),
-		Stats:    make([]csp.Stats, len(engines)),
-	}
-	for i, e := range engines {
-		res.Stats[i] = e.Stats()
-		res.TotalIterations += e.Stats().Iterations
-	}
-	if winner >= 0 {
-		res.Solved = true
-		res.Solution = engines[winner].Solution()
-		res.WinnerIterations = engines[winner].Stats().Iterations
-	}
-	return res
+	return drive(ctx, newModel, cfg, modeLockstep, maxVirtualIterations)
 }
 
 // String gives a compact human-readable summary.

@@ -351,30 +351,30 @@ func (r rotating) Assign(w int) []int {
 func TestVirtualDeterministicAcrossWorkerCounts(t *testing.T) {
 	// A short quantum makes every run span many rounds.
 	const n, quantum = 13, 8
-	runs := map[string]func(workers int) CoopResult{
-		"independent": func(workers int) CoopResult {
+	runs := map[string]func(workers int) Result{
+		"independent": func(workers int) Result {
 			cfg := capConfig(n, 16, 77)
 			cfg.MaxParallelism, cfg.CheckEvery = workers, quantum
-			return CoopResult{Result: Virtual(context.Background(), capFactory(n), cfg, 0)}
+			return Virtual(context.Background(), capFactory(n), cfg, 0)
 		},
-		"cooperative": func(workers int) CoopResult {
+		"cooperative": func(workers int) Result {
 			cfg := coopConfig(n, 8, 17)
 			cfg.MaxParallelism, cfg.CheckEvery = workers, quantum
-			cfg.RestartEvery = 4 * quantum // pool restarts in most rounds
-			return Cooperative(context.Background(), capFactory(n), cfg, 0)
+			cfg.Crossroads.RestartEvery = 4 * quantum // pool restarts in most rounds
+			return Virtual(context.Background(), capFactory(n), cfg, 0)
 		},
-		"racing": func(workers int) CoopResult {
+		"racing": func(workers int) Result {
 			cfg := capConfig(n, 8, 3)
 			cfg.MaxParallelism, cfg.CheckEvery = workers, quantum
 			cfg.Portfolio = []csp.Factory{adaptive.Factory(costas.TunedParams(n)), tabu.Factory(tabu.Params{})}
 			cfg.Allocator = rotating{walkers: 8, arms: 2, window: 24}
-			return CoopResult{Result: Virtual(context.Background(), capFactory(n), cfg, 1<<16)}
+			return Virtual(context.Background(), capFactory(n), cfg, 1<<16)
 		},
 	}
 	for name, run := range runs {
 		t.Run(name, func(t *testing.T) {
 			// WallTime is the only field allowed to differ.
-			outcome := func(workers int) CoopResult {
+			outcome := func(workers int) Result {
 				r := run(workers)
 				r.WallTime = 0
 				return r
