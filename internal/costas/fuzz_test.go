@@ -23,7 +23,9 @@ package costas
 //     exactly SwapDelta(i, lo+k) in d[lo+k] and d[:lo] is not written;
 //   - ExecSwap keeps the incremental counters equal to a full rebuild;
 //   - VarCost(i), kept current across swaps, equals the brute-force
-//     varCostOf reference.
+//     varCostOf reference;
+//   - one Reset from the state the swaps reach leaves the configuration,
+//     cost and RNG position referenceReset leaves on a twin model.
 //
 // The fuzz input is one seed (the random permutation) plus a script whose
 // first bytes pick the instance size and variant and whose tail is the
@@ -34,6 +36,7 @@ package costas
 // testdata/fuzz/FuzzCostasCost and in the f.Add calls below.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/csp"
@@ -164,5 +167,17 @@ func FuzzCostasCost(f *testing.F) {
 			}
 			check("swap")
 		}
+
+		ref := New(n, opts)
+		refCfg := append([]int(nil), cfg...)
+		ref.Bind(refCfg)
+		r, refR := rng.New(seed), rng.New(seed)
+		entry := append([]int(nil), cfg...)
+		got, want := m.Reset(cfg, r), referenceReset(ref, refCfg, refR)
+		if got != want || m.Cost() != want || !slices.Equal(cfg, refCfg) || r.Uint64() != refR.Uint64() {
+			t.Fatalf("Reset from %v: returned %d (model %d) and left %v, reference returned %d and left %v, or RNG positions differ",
+				entry, got, m.Cost(), cfg, want, refCfg)
+		}
+		check("reset")
 	})
 }

@@ -99,6 +99,7 @@ type Model struct {
 	// so a whole Model costs 4 heap allocations — the per-solve setup
 	// cost the table1 bench records (see TestPerSolveSetupAllocBudget).
 	cand      []int // candidate configuration built by Reset
+	chain     []int // Reset's second rotation chain (right rotations)
 	best      []int // best candidate seen by Reset
 	errVars   []int // indices of erroneous variables (Reset perturbation 3)
 	resetKs   []int // circular-addition constants of §IV-B2, precomputed
@@ -111,7 +112,7 @@ type Model struct {
 	// planes[3(d−1)+k] has bit v set iff count_d(v) ≥ k+1, k = 0, 1, 2.
 	// Maintenance is row-granular and lazy: Bind just bumps planeEpoch
 	// (invalidating every row at O(1) cost), the scan rebuilds a stale
-	// row from its counters the first time it sweeps it, and CommitSwap
+	// row from its pairs the first time it sweeps it, and CommitSwap
 	// flips the one bit each counter step changes — but ONLY for rows
 	// that are currently valid. planeValid counts valid rows so the
 	// commit path skips even the per-row staleness compares while no scan
@@ -146,7 +147,7 @@ func New(n int, opts Options) *Model {
 	// 4 heap allocations (3 when n > 32 and the plane cache is absent);
 	// table1's per-solve setup cost is pinned by
 	// TestPerSolveSetupAllocBudget.
-	ints := make([]int, 3*(depth+1)+4*n+4+(depth+1)*width)
+	ints := make([]int, 3*(depth+1)+5*n+4+(depth+1)*width)
 	carve := func(k int) []int {
 		s := ints[:k:k]
 		ints = ints[k:]
@@ -156,6 +157,7 @@ func New(n int, opts Options) *Model {
 	m.rowBase = carve(depth + 1)
 	m.varCost = carve(n)
 	m.cand = carve(n)
+	m.chain = carve(n)
 	m.best = carve(n)
 	m.errVars = carve(n)[:0]
 	m.resetKs = resetConstantsInto(carve(4)[:0], n)
@@ -455,6 +457,15 @@ func slowRowDelta(row []int32, po, pn *[4]int, np int) int {
 // (the caller's just-computed SwapDelta(i, j)) for the new global cost.
 // This is the ONLY write path over the counters on the solve loop; it
 // re-enumerates the changed pairs but skips all cost accounting.
+//
+// Per row it gathers the ≤ 4 pairs whose difference changes and moves them
+// in one loop. A row that needs no upkeep — its planes stale and the
+// per-variable errors stale, as for hill climbing, which neither scans nor
+// reads VarCost — takes a counters-only path. Otherwise each move also
+// updates the row's planes (valid rows only; held in registers for the
+// row) and, when the errors are current, pairX and the blame, all inline
+// and without data-dependent branches: which counts a move crosses is
+// what the search cannot predict.
 func (m *Model) CommitSwap(i, j, delta int) {
 	if j < i {
 		i, j = j, i
@@ -468,122 +479,144 @@ func (m *Model) CommitSwap(i, j, delta int) {
 	off, width := n-1, 2*n-1
 	cnt, depth := m.cnt, m.depth
 	planesValid, blame := m.planeValid > 0, !m.varDirty
+	vc := m.varCost
+	var mv [4]pairMove
 	for d, base := 1, 0; d <= depth; d, base = d+1, base+width {
-		// Keep a row's bit planes in sync ONLY while it is currently
-		// valid; stale rows (no scan since the last rebind) are rebuilt
-		// wholesale by the next sweep. planeValid == 0 — the never-scanned
-		// case — skips even the per-row staleness compare. With stale
-		// planes and stale errors the counter writes are all a move costs.
-		fixP := planesValid && m.planeGen[d] == m.planeEpoch
-		upkeep := fixP || blame
 		row := cnt[base : base+width]
-		// The ≤ 4 pairs of row d whose difference changes, each moved as
-		// one exact transition of the row's multiset (vi ≠ vj, so no pair
-		// keeps its value).
-		if a := i - d; a >= 0 {
-			ov, nv := vi-cfg[a]+off, vj-cfg[a]+off
-			co, cn := row[ov], row[nv]
-			row[ov], row[nv] = co-1, cn+1
-			if upkeep {
-				m.pairMoved(d, a, ov, nv, co, cn, fixP)
+		// Keep a row's bit planes in sync ONLY while it is currently valid;
+		// stale rows (no scan since the last rebind) are rebuilt wholesale
+		// by the next sweep. planeValid == 0 — the never-scanned case —
+		// skips even the per-row staleness compare.
+		fixP := planesValid && m.planeGen[d] == m.planeEpoch
+		if !fixP && !blame {
+			// Counters only, the ≤ 4 moves written out: gathering them
+			// first made hill climbing's commit about 10 % slower.
+			if a := i - d; a >= 0 {
+				row[vi-cfg[a]+off]--
+				row[vj-cfg[a]+off]++
 			}
+			if b := i + d; b < n {
+				row[cfg[b]-vi+off]--
+				if b == j {
+					row[vi-vj+off]++ // the (i, j) pair itself reverses sign
+				} else {
+					row[cfg[b]-vj+off]++
+				}
+			}
+			if a := j - d; a >= 0 && a != i {
+				row[vj-cfg[a]+off]--
+				row[vi-cfg[a]+off]++
+			}
+			if b := j + d; b < n {
+				row[cfg[b]-vj+off]--
+				row[cfg[b]-vi+off]++
+			}
+			continue
+		}
+		// The ≤ 4 pairs (p, p+d) of row d whose difference changes, from
+		// value index ov to nv (vi ≠ vj, so no pair keeps its value), in
+		// the order they are moved.
+		k := 0
+		if a := i - d; a >= 0 {
+			mv[k] = pairMove{a, vi - cfg[a] + off, vj - cfg[a] + off}
+			k++
 		}
 		if b := i + d; b < n {
-			ov, nv := cfg[b]-vi+off, cfg[b]-vj+off
+			nv := cfg[b] - vj + off
 			if b == j {
 				nv = vi - vj + off // the (i, j) pair itself reverses sign
 			}
-			co, cn := row[ov], row[nv]
-			row[ov], row[nv] = co-1, cn+1
-			if upkeep {
-				m.pairMoved(d, i, ov, nv, co, cn, fixP)
-			}
+			mv[k] = pairMove{i, cfg[b] - vi + off, nv}
+			k++
 		}
 		if a := j - d; a >= 0 && a != i {
-			ov, nv := vj-cfg[a]+off, vi-cfg[a]+off
-			co, cn := row[ov], row[nv]
-			row[ov], row[nv] = co-1, cn+1
-			if upkeep {
-				m.pairMoved(d, a, ov, nv, co, cn, fixP)
-			}
+			mv[k] = pairMove{a, vj - cfg[a] + off, vi - cfg[a] + off}
+			k++
 		}
 		if b := j + d; b < n {
-			ov, nv := cfg[b]-vj+off, cfg[b]-vi+off
+			mv[k] = pairMove{j, cfg[b] - vj + off, cfg[b] - vi + off}
+			k++
+		}
+		moves := mv[:k]
+		// A valid row's planes ride in registers through its moves.
+		var p0, p1, p2 uint64
+		if fixP {
+			p0, p1, p2 = m.planes[3*d-3], m.planes[3*d-2], m.planes[3*d-1]
+		}
+		w := m.w[d]
+		px := m.pairX[base : base+width]
+		for _, x := range moves {
+			p, ov, nv := x.p, x.ov, x.nv
 			co, cn := row[ov], row[nv]
 			row[ov], row[nv] = co-1, cn+1
-			if upkeep {
-				m.pairMoved(d, j, ov, nv, co, cn, fixP)
+			if fixP {
+				// Plane k holds count ≥ k+1, so a value's bits form a
+				// thermometer: a decrement clears its highest plane (none
+				// when the count was above 3, where the planes saturate),
+				// an increment carries its bit up one plane where present.
+				bo := uint64(1) << uint(ov&63)
+				if co > 3 {
+					bo = 0
+				}
+				bn := uint64(1) << uint(nv&63)
+				p0, p1, p2 = p0&^(bo&^p1), p1&^(bo&^p2), p2&^bo
+				p2 |= p1 & bn
+				p1 |= p0 & bn
+				p0 |= bn
 			}
+			if !blame {
+				continue
+			}
+			// A pair is blamed (ERR(d) on both endpoints) iff its value's
+			// count is ≥ 2. Leaving a count-2 value unblames the lone
+			// partner left behind; joining a count-1 value blames the lone
+			// pair already there. Branch-free: a partner that does not
+			// change is masked to position 0 and charged 0.
+			px[ov] ^= int32(p)
+			lose := -b2i(co == 2)
+			q := int(px[ov]) & lose
+			vc[q] -= w & lose
+			vc[q+d] -= w & lose
+			gain := -b2i(cn == 1)
+			q = int(px[nv]) & gain
+			vc[q] += w & gain
+			vc[q+d] += w & gain
+			px[nv] ^= int32(p)
+			self := w * (b2i(cn >= 1) - b2i(co >= 2))
+			vc[p] += self
+			vc[p+d] += self
+		}
+		if fixP {
+			m.planes[3*d-3], m.planes[3*d-2], m.planes[3*d-1] = p0, p1, p2
 		}
 	}
 	cfg[i], cfg[j] = vj, vi
 	m.cost += delta
 }
 
-// pairMoved brings the row's bit planes (when fixP) and, when current,
-// pairX and the per-variable errors up to date after CommitSwap moved the
-// pair (p, p+d) of row d from value index ov (count co before) to nv
-// (count cn before).
-func (m *Model) pairMoved(d, p, ov, nv int, co, cn int32, fixP bool) {
-	if fixP {
-		// Plane k holds count ≥ k+1: a decrement from c clears plane c−1,
-		// an increment from c sets plane c (planes 0–2 only).
-		po := 3 * (d - 1)
-		if co <= 3 {
-			m.planes[po+int(co)-1] &^= 1 << uint(ov&63)
-		}
-		if cn <= 2 {
-			m.planes[po+int(cn)] |= 1 << uint(nv&63)
-		}
-	}
-	if m.varDirty {
-		return
-	}
-	// A pair is blamed (ERR(d) on both endpoints) iff its value's count is
-	// ≥ 2. Leaving a count-2 value unblames the lone partner left behind;
-	// joining a count-1 value blames the lone pair already there.
-	w := m.w[d]
-	px := m.pairX[m.rowBase[d]:]
-	px[ov] ^= int32(p)
-	self := 0
-	if co >= 2 {
-		self -= w
-		if co == 2 {
-			q := int(px[ov])
-			m.varCost[q] -= w
-			m.varCost[q+d] -= w
-		}
-	}
-	if cn >= 1 {
-		self += w
-		if cn == 1 {
-			q := int(px[nv])
-			m.varCost[q] += w
-			m.varCost[q+d] += w
-		}
-	}
-	px[nv] ^= int32(p)
-	m.varCost[p] += self
-	m.varCost[p+d] += self
-}
+// pairMove is one pair (p, p+d) of a row that CommitSwap moves from value
+// index ov to nv.
+type pairMove struct{ p, ov, nv int }
 
-// planeRebuildRow recomputes row d's planes from its counters and marks the
-// row current — the O(width) slow path taken once per row after a rebind,
-// on the row's first sweep.
+// planeRebuildRow recomputes row d's planes and marks the row current — the
+// slow path taken once per row after a rebind, on the row's first sweep.
+// The planes are derived from the row's n−d pairs of the bound
+// configuration (which the counters describe), not from its 2n−1 counters:
+// each pair's value bit carries up one plane where it is already present,
+// branch-free, so plane k ends up holding the values that occur at least
+// k+1 times.
 func (m *Model) planeRebuildRow(d int) {
-	row := m.cnt[m.rowBase[d] : m.rowBase[d]+2*m.n-1]
+	n, cfg := m.n, m.cfg
+	off := n - 1
+	lo := cfg[:n-d]
+	hi := cfg[d:n]
+	hi = hi[:len(lo)]
 	var b1, b2, b3 uint64
-	for v, c := range row {
-		if c >= 1 {
-			bit := uint64(1) << uint(v&63)
-			b1 |= bit
-			if c >= 2 {
-				b2 |= bit
-				if c >= 3 {
-					b3 |= bit
-				}
-			}
-		}
+	for i, x := range lo {
+		bit := uint64(1) << uint((hi[i]-x+off)&63)
+		b3 |= b2 & bit
+		b2 |= b1 & bit
+		b1 |= bit
 	}
 	po := 3 * (d - 1)
 	m.planes[po], m.planes[po+1], m.planes[po+2] = b1, b2, b3
@@ -619,18 +652,23 @@ func (m *Model) CostOf(cfg []int) int {
 // tagged seen array.
 func (m *Model) scanCost(cfg []int, bound int) int {
 	n := m.n
-	off := n - 1
 	cost := 0
 	if m.planes != nil {
+		// Bits are indexed by difference mod 64, which is injective over a
+		// row's 2n−1 ≤ 63 values, so no offset is added.
 		for d := 1; d <= m.depth && cost <= bound; d++ {
+			lo := cfg[:n-d]
+			hi := cfg[d:n]
+			hi = hi[:len(lo)]
 			var mask uint64
-			for i, e := 0, n-d; i < e; i++ {
-				mask |= uint64(1) << uint((cfg[i+d]-cfg[i]+off)&63)
+			for i, x := range lo {
+				mask |= uint64(1) << uint((hi[i]-x)&63)
 			}
-			cost += m.w[d] * (n - d - bits.OnesCount64(mask))
+			cost += m.w[d] * (len(lo) - bits.OnesCount64(mask))
 		}
 		return cost
 	}
+	off := n - 1
 	m.seenGen++
 	gen := m.seenGen
 	width := 2*n - 1
@@ -675,74 +713,79 @@ var _ csp.Resetter = (*Model)(nil)
 // As soon as a candidate's cost is strictly below the entry cost it is
 // adopted (the paper measures this happens in ≈32 % of calls); otherwise the
 // best candidate overall is selected. Returns the new bound cost.
+//
+// The rotations of family 1 are built along four one-swap chains rather
+// than copied and rotated one by one: the left rotation of [lo+1, V_m] is
+// that of [lo, V_m] with positions lo and V_m swapped, its right rotation
+// that of [lo, V_m] with lo and lo+1 swapped; the left rotation of
+// [V_m, hi+1] is that of [V_m, hi] with hi and hi+1 swapped, its right
+// rotation that of [V_m, hi] with V_m and hi+1 swapped. A two-element
+// segment rotates to the same swap both ways: it is scored once and
+// offered twice, so its tie draws are the ones two separate candidates
+// would make.
 func (m *Model) Reset(cfg []int, r *rng.RNG) int {
 	if m.genericReset {
 		return m.genericResetProc(cfg, r)
 	}
-	entry := m.cost                // cfg is the bound configuration
-	bestCost := int(^uint(0) >> 1) // MaxInt
-	copy(m.best, cfg)              // safety net for degenerate sizes with no candidates
+	copy(m.best, cfg) // safety net for degenerate sizes with no candidates
 	n := m.n
-
-	// try evaluates the candidate in m.cand; on strict improvement it
-	// commits immediately (returns true), otherwise tracks the best with
-	// uniform tie-breaking. The tie-breaking randomness is essential: a
-	// deterministic "first best" choice can trap the search in a 2-cycle of
-	// mutually-best perturbations at equal cost, never escaping the basin.
-	improved := false
-	bestTies := 0
-	// A candidate costing more than both bestCost and entry−1 can neither
-	// tie, beat the best nor improve, so its scan may stop there.
-	try := func() bool {
-		c := m.scanCost(m.cand, max(bestCost, entry-1))
-		switch {
-		case c < bestCost:
-			bestCost = c
-			bestTies = 1
-			copy(m.best, m.cand)
-		case c == bestCost:
-			bestTies++
-			if r.Intn(bestTies) == 0 {
-				copy(m.best, m.cand)
-			}
-		}
-		if c < entry {
-			improved = true
-			return true
-		}
-		return false
-	}
+	// cfg is the bound configuration, so the entry cost is the model's.
+	rs := resetSearch{m: m, r: r, entry: m.cost, bestCost: int(^uint(0) >> 1)}
 
 	// Perturbation 1: sub-arrays around the most erroneous variable.
 	// Reset is called with cfg == the bound configuration, so the model's
 	// incremental per-variable errors are valid here (O(n·depth) total,
 	// important because with RL=1 a reset fires at every local minimum).
 	vm := m.mostErroneousVar(r)
-	for lo := 0; lo < vm && !improved; lo++ {
-		if m.shiftTry(cfg, lo, vm, try) {
-			break
+	left, right := m.cand, m.chain
+	if vm > 0 { // segments [lo, vm], lo = 0 … vm−1
+		copy(left, cfg)
+		leftRotate(left[:vm+1])
+		copy(right, cfg)
+		rightRotate(right[:vm+1])
+		for lo := 0; lo < vm-1; lo++ {
+			if rs.try(left) || rs.try(right) {
+				break
+			}
+			left[lo], left[vm] = left[vm], left[lo]
+			right[lo], right[lo+1] = right[lo+1], right[lo]
+		}
+		if !rs.improved {
+			rs.tryTwice(left) // [vm−1, vm]
 		}
 	}
-	for hi := vm + 1; hi < n && !improved; hi++ {
-		if m.shiftTry(cfg, vm, hi, try) {
-			break
+	if !rs.improved && vm+1 < n { // segments [vm, hi], hi = vm+1 … n−1
+		copy(left, cfg)
+		left[vm], left[vm+1] = left[vm+1], left[vm]
+		rs.tryTwice(left) // [vm, vm+1]
+		copy(right, left)
+		for hi := vm + 1; hi+1 < n && !rs.improved; hi++ {
+			left[hi], left[hi+1] = left[hi+1], left[hi]
+			right[vm], right[hi+1] = right[hi+1], right[vm]
+			if !rs.try(left) {
+				rs.try(right)
+			}
 		}
 	}
 
 	// Perturbation 2: circular constant addition.
-	if !improved {
+	if !rs.improved {
 		for _, k := range m.resetKs {
-			for p := 0; p < n; p++ {
-				m.cand[p] = (cfg[p] + k) % n
+			for p, v := range cfg {
+				v += k // < 2n: one conditional subtract is the mod
+				if v >= n {
+					v -= n
+				}
+				m.cand[p] = v
 			}
-			if try() {
+			if rs.try(m.cand) {
 				break
 			}
 		}
 	}
 
 	// Perturbation 3: left-shift prefix up to an erroneous variable ≠ V_m.
-	if !improved {
+	if !rs.improved {
 		m.errVars = m.errVars[:0]
 		for v := 0; v < n; v++ {
 			if v != vm && m.VarCost(v) > 0 {
@@ -758,7 +801,7 @@ func (m *Model) Reset(cfg []int, r *rng.RNG) int {
 			tries--
 			copy(m.cand, cfg)
 			leftRotate(m.cand[:e+1])
-			if try() {
+			if rs.try(m.cand) {
 				break
 			}
 		}
@@ -769,17 +812,54 @@ func (m *Model) Reset(cfg []int, r *rng.RNG) int {
 	return m.cost
 }
 
-// shiftTry builds the two circular shifts (left, right) of cfg[lo..hi] into
-// m.cand and evaluates them; it reports whether try() accepted one.
-func (m *Model) shiftTry(cfg []int, lo, hi int, try func() bool) bool {
-	copy(m.cand, cfg)
-	leftRotate(m.cand[lo : hi+1])
-	if try() {
-		return true
+// resetSearch is Reset's candidate bookkeeping: the best candidate so far
+// (in m.best), its cost and tie count, and whether one improved on entry.
+type resetSearch struct {
+	m        *Model
+	r        *rng.RNG
+	entry    int
+	bestCost int
+	bestTies int
+	improved bool
+}
+
+// try scores cand and offers it; it reports whether cand improved on the
+// entry cost (and was adopted). A candidate costing more than both bestCost
+// and entry−1 can neither tie, beat the best nor improve, so its scan may
+// stop there.
+func (rs *resetSearch) try(cand []int) bool {
+	return rs.offer(cand, rs.m.scanCost(cand, max(rs.bestCost, rs.entry-1)))
+}
+
+// tryTwice scores cand once and offers it twice: the two rotations of a
+// two-element segment are the same swap. The second offer can at most tie,
+// and its tie still draws.
+func (rs *resetSearch) tryTwice(cand []int) {
+	c := rs.m.scanCost(cand, max(rs.bestCost, rs.entry-1))
+	if !rs.offer(cand, c) {
+		rs.offer(cand, c)
 	}
-	copy(m.cand, cfg)
-	rightRotate(m.cand[lo : hi+1])
-	return try()
+}
+
+// offer tracks the best candidate with uniform tie-breaking and reports a
+// strict improvement on the entry cost. The tie-breaking randomness is
+// essential: a deterministic "first best" choice can trap the search in a
+// 2-cycle of mutually-best perturbations at equal cost, never escaping the
+// basin.
+func (rs *resetSearch) offer(cand []int, c int) bool {
+	switch {
+	case c < rs.bestCost:
+		rs.bestCost = c
+		rs.bestTies = 1
+		copy(rs.m.best, cand)
+	case c == rs.bestCost:
+		rs.bestTies++
+		if rs.r.Intn(rs.bestTies) == 0 {
+			copy(rs.m.best, cand)
+		}
+	}
+	rs.improved = c < rs.entry
+	return rs.improved
 }
 
 // resetConstantsInto appends the circular-addition constants of §IV-B2 (1,

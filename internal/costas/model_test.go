@@ -206,15 +206,30 @@ func TestVarCostMatchesReference(t *testing.T) {
 	}
 }
 
+// planesFromCounters rebuilds row d's three bit planes from its counters
+// (plane k holds the values counted at least k+1 times). It is the plane
+// oracle: planeRebuildRow derives the planes from the row's pairs instead,
+// so this check does not share code with what it checks.
+func planesFromCounters(m *Model, d int) [3]uint64 {
+	var p [3]uint64
+	for v, c := range m.cnt[m.rowBase[d] : m.rowBase[d]+2*m.n-1] {
+		for k := 0; k < 3 && int(c) > k; k++ {
+			p[k] |= 1 << uint(v&63)
+		}
+	}
+	return p
+}
+
 // TestIncrementalStateProperty drives random interleavings of every
 // state-changing call — ExecSwap, CommitSwap, VarCost reads, ScanSwaps,
 // Bind and Reset — across orders on both sides of the one-word row limit
-// (n = 32 has planes, n = 33 does not) and every error/depth variant, and
-// after each step checks the incrementally kept state against fresh
-// recomputation: the cost, the per-variable errors and pairX whenever they
-// are current, and every bit-plane row that is marked valid.
+// (n = 31 and 32 have planes, n = 33 does not) and every error/depth
+// variant, and after each step checks the incrementally kept state against
+// fresh recomputation: the cost, the per-variable errors and pairX whenever
+// they are current, and every bit-plane row that is marked valid against
+// planesFromCounters.
 func TestIncrementalStateProperty(t *testing.T) {
-	for _, n := range []int{13, 16, 32, 33} {
+	for _, n := range []int{13, 16, 31, 32, 33} {
 		for _, opts := range []Options{
 			{}, {Err: ErrQuadratic}, {FullTriangle: true}, {Err: ErrQuadratic, FullTriangle: true},
 		} {
@@ -256,8 +271,7 @@ func TestIncrementalStateProperty(t *testing.T) {
 					valid++
 					po := 3 * (d - 1)
 					kept := [3]uint64(m.planes[po : po+3])
-					m.planeRebuildRow(d)
-					if fresh := [3]uint64(m.planes[po : po+3]); kept != fresh {
+					if fresh := planesFromCounters(m, d); kept != fresh {
 						t.Fatalf("n=%d opts=%+v step %d (%s): row %d planes %x, fresh %x",
 							n, opts, step, op, d, kept, fresh)
 					}
@@ -323,6 +337,132 @@ func TestVarCostsConsistentWithCost(t *testing.T) {
 			t.Fatalf("seed %d: zero cost but ΣVarCost=%d", seed, sum)
 		case m.Cost() > 0 && sum < 2*m.Cost():
 			t.Fatalf("seed %d: ΣVarCost=%d < 2×cost=%d", seed, sum, 2*m.Cost())
+		}
+	}
+}
+
+// referenceReset is Reset as it was before its rotations were built along
+// one-swap chains: every rotation candidate is a fresh copy of cfg, rotated
+// in place, and each of a two-element segment's two rotations is scored on
+// its own. It keeps its own candidate buffers and uses the model only for
+// the culprit draw, VarCost, scanCost and the final rebind, so it is the
+// oracle for Reset's candidate order, costs and random draws.
+func referenceReset(m *Model, cfg []int, r *rng.RNG) int {
+	entry := m.cost
+	bestCost := int(^uint(0) >> 1)
+	n := m.n
+	cand, best := make([]int, n), csp.Clone(cfg)
+	improved := false
+	bestTies := 0
+	try := func() bool {
+		c := m.scanCost(cand, max(bestCost, entry-1))
+		switch {
+		case c < bestCost:
+			bestCost = c
+			bestTies = 1
+			copy(best, cand)
+		case c == bestCost:
+			bestTies++
+			if r.Intn(bestTies) == 0 {
+				copy(best, cand)
+			}
+		}
+		if c < entry {
+			improved = true
+			return true
+		}
+		return false
+	}
+	shiftTry := func(lo, hi int) bool {
+		copy(cand, cfg)
+		leftRotate(cand[lo : hi+1])
+		if try() {
+			return true
+		}
+		copy(cand, cfg)
+		rightRotate(cand[lo : hi+1])
+		return try()
+	}
+
+	vm := m.mostErroneousVar(r)
+	for lo := 0; lo < vm && !improved; lo++ {
+		if shiftTry(lo, vm) {
+			break
+		}
+	}
+	for hi := vm + 1; hi < n && !improved; hi++ {
+		if shiftTry(vm, hi) {
+			break
+		}
+	}
+	if !improved {
+		for _, k := range m.resetKs {
+			for p := 0; p < n; p++ {
+				cand[p] = (cfg[p] + k) % n
+			}
+			if try() {
+				break
+			}
+		}
+	}
+	if !improved {
+		var errVars []int
+		for v := 0; v < n; v++ {
+			if v != vm && m.VarCost(v) > 0 {
+				errVars = append(errVars, v)
+			}
+		}
+		for tries := 3; len(errVars) > 0 && tries > 0; tries-- {
+			k := r.Intn(len(errVars))
+			e := errVars[k]
+			errVars[k] = errVars[len(errVars)-1]
+			errVars = errVars[:len(errVars)-1]
+			copy(cand, cfg)
+			leftRotate(cand[:e+1])
+			if try() {
+				break
+			}
+		}
+	}
+	copy(cfg, best)
+	m.Bind(cfg)
+	return m.cost
+}
+
+// TestResetMatchesReference runs Reset and referenceReset side by side on
+// twin models over both kernel shapes (one-word SWAR rows for n ≤ 32, the
+// seen-array path above) and all four model variants. Before each reset
+// both twins take the same random commits, with their per-variable errors
+// kept current from the previous reset on, and each reset must leave the
+// same configuration, return and bind the same cost and leave its RNG at
+// the same position.
+func TestResetMatchesReference(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for _, opts := range costasVariants {
+			seed := uint64(5000 + n)
+			m, cfg, r := newBound(n, opts, seed)
+			ref, refCfg, refR := newBound(n, opts, seed)
+			walk := rng.New(seed)
+			for reset := 0; reset < 200; reset++ {
+				m.VarCost(0)
+				ref.VarCost(0)
+				for c := walk.Intn(4); c > 0; c-- {
+					i, j := walk.Intn(n), walk.Intn(n)
+					m.CommitSwap(i, j, m.SwapDelta(i, j))
+					ref.CommitSwap(i, j, ref.SwapDelta(i, j))
+				}
+				got, want := m.Reset(cfg, r), referenceReset(ref, refCfg, refR)
+				if got != want || m.Cost() != ref.Cost() {
+					t.Fatalf("n=%d opts=%+v reset %d: Reset returned %d (model %d), reference %d (model %d)",
+						n, opts, reset, got, m.Cost(), want, ref.Cost())
+				}
+				if !slices.Equal(cfg, refCfg) {
+					t.Fatalf("n=%d opts=%+v reset %d: Reset left %v, reference %v", n, opts, reset, cfg, refCfg)
+				}
+				if a, b := r.Uint64(), refR.Uint64(); a != b {
+					t.Fatalf("n=%d opts=%+v reset %d: RNG positions differ after Reset (next draws %x, %x)", n, opts, reset, a, b)
+				}
+			}
 		}
 	}
 }

@@ -164,8 +164,8 @@ func TestScanProbeMatchesPlainProbe(t *testing.T) {
 func TestScratchCapacityBounded(t *testing.T) {
 	const n = 12
 	m := New(n, Options{})
-	wantErrVars, wantCand, wantBest, wantSeen :=
-		cap(m.errVars), cap(m.cand), cap(m.best), cap(m.seenReset)
+	wantErrVars, wantCand, wantChain, wantBest, wantSeen :=
+		cap(m.errVars), cap(m.cand), cap(m.chain), cap(m.best), cap(m.seenReset)
 	if wantErrVars != n {
 		t.Fatalf("errVars preallocation: cap %d, want %d", wantErrVars, n)
 	}
@@ -180,10 +180,10 @@ func TestScratchCapacityBounded(t *testing.T) {
 	if resets == 0 {
 		t.Fatal("test harness never triggered a reset; scratch growth unexercised")
 	}
-	if cap(m.errVars) != wantErrVars || cap(m.cand) != wantCand ||
+	if cap(m.errVars) != wantErrVars || cap(m.cand) != wantCand || cap(m.chain) != wantChain ||
 		cap(m.best) != wantBest || cap(m.seenReset) != wantSeen {
-		t.Fatalf("scratch capacity grew during solve: errVars %d→%d cand %d→%d best %d→%d seenReset %d→%d",
-			wantErrVars, cap(m.errVars), wantCand, cap(m.cand),
+		t.Fatalf("scratch capacity grew during solve: errVars %d→%d cand %d→%d chain %d→%d best %d→%d seenReset %d→%d",
+			wantErrVars, cap(m.errVars), wantCand, cap(m.cand), wantChain, cap(m.chain),
 			wantBest, cap(m.best), wantSeen, cap(m.seenReset))
 	}
 }
