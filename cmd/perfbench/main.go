@@ -277,26 +277,6 @@ func runAll(benchtime string) ([]Result, error) {
 		steady("kernel/cost_of_n18", func(int) { sink += m.CostOf(cfg) })
 	}
 
-	// kernel/reset_n18 — the dedicated reset as adaptive takes it at a
-	// local minimum: one op rebinds a fixed swap-local-minimum
-	// configuration, runs Reset (its candidate chains, the VarCost rebuild
-	// and the final rebind), then one full-row ScanSwaps, which rebuilds
-	// every plane row the rebind invalidated.
-	{
-		m := costas.New(18, costas.Options{})
-		start := swapLocalMinimum(m, rng.New(1))
-		cfg := make([]int, 18)
-		deltas := make([]int, 18)
-		r := rng.New(1)
-		steady("kernel/reset_n18", func(k int) {
-			copy(cfg, start)
-			m.Bind(cfg)
-			m.Reset(cfg, r)
-			m.ScanSwaps(k%18, deltas)
-			sink += deltas[(k+1)%18]
-		})
-	}
-
 	// engine/*_steady_n18 — one Step(1) of an engine's post-Bind loop,
 	// restarts included: an Adaptive Search repair iteration, a tabu scan
 	// of the quadratic neighborhood plus its move, a dialectic round, one
@@ -406,28 +386,6 @@ func runAll(benchtime string) ([]Result, error) {
 	}
 
 	return out, failed
-}
-
-// swapLocalMinimum descends from a random configuration by steepest
-// improving swaps until no swap improves, leaving m bound to the result,
-// and returns a copy of it.
-func swapLocalMinimum(m *costas.Model, r *rng.RNG) []int {
-	cfg := csp.RandomConfiguration(m.Size(), r)
-	m.Bind(cfg)
-	for {
-		bi, bj, best := 0, 0, 0
-		for i := range cfg {
-			for j := i + 1; j < len(cfg); j++ {
-				if d := m.SwapDelta(i, j); d < best {
-					bi, bj, best = i, j, d
-				}
-			}
-		}
-		if best == 0 {
-			return csp.Clone(cfg)
-		}
-		m.CommitSwap(bi, bj, best)
-	}
 }
 
 // suiteOf buckets a row name into the suite that produces it, for

@@ -41,7 +41,7 @@ func TestRunAllSmoke(t *testing.T) {
 	}
 	for _, name := range []string{
 		"kernel/swap_delta_n18", "kernel/scan_swaps_n18", "kernel/scan_suffixes_n18",
-		"kernel/scan_swaps_n96", "kernel/cost_of_n18", "kernel/reset_n18",
+		"kernel/scan_swaps_n96", "kernel/cost_of_n18",
 		"engine/adaptive_steady_n18", "engine/tabu_steady_n18", "engine/dialectic_steady_n18",
 		"engine/hillclimb_steady_n18",
 		"table1/sequential_n13",

@@ -459,13 +459,12 @@ func slowRowDelta(row []int32, po, pn *[4]int, np int) int {
 // re-enumerates the changed pairs but skips all cost accounting.
 //
 // Per row it gathers the ≤ 4 pairs whose difference changes and moves them
-// in one loop. A row that needs no upkeep — its planes stale and the
-// per-variable errors stale, as for hill climbing, which neither scans nor
-// reads VarCost — takes a counters-only path. Otherwise each move also
-// updates the row's planes (valid rows only; held in registers for the
-// row) and, when the errors are current, pairX and the blame, all inline
-// and without data-dependent branches: which counts a move crosses is
-// what the search cannot predict.
+// in one loop. Each move also updates the row's planes (valid rows only;
+// held in registers for the row) and, when the errors are current, pairX
+// and the blame, all inline and without data-dependent branches: which
+// counts a move crosses is what the search cannot predict. A row that needs
+// neither — as for hill climbing, which neither scans nor reads VarCost —
+// moves its counters only.
 func (m *Model) CommitSwap(i, j, delta int) {
 	if j < i {
 		i, j = j, i
@@ -488,31 +487,6 @@ func (m *Model) CommitSwap(i, j, delta int) {
 		// by the next sweep. planeValid == 0 — the never-scanned case —
 		// skips even the per-row staleness compare.
 		fixP := planesValid && m.planeGen[d] == m.planeEpoch
-		if !fixP && !blame {
-			// Counters only, the ≤ 4 moves written out: gathering them
-			// first made hill climbing's commit about 10 % slower.
-			if a := i - d; a >= 0 {
-				row[vi-cfg[a]+off]--
-				row[vj-cfg[a]+off]++
-			}
-			if b := i + d; b < n {
-				row[cfg[b]-vi+off]--
-				if b == j {
-					row[vi-vj+off]++ // the (i, j) pair itself reverses sign
-				} else {
-					row[cfg[b]-vj+off]++
-				}
-			}
-			if a := j - d; a >= 0 && a != i {
-				row[vj-cfg[a]+off]--
-				row[vi-cfg[a]+off]++
-			}
-			if b := j + d; b < n {
-				row[cfg[b]-vj+off]--
-				row[cfg[b]-vi+off]++
-			}
-			continue
-		}
 		// The ≤ 4 pairs (p, p+d) of row d whose difference changes, from
 		// value index ov to nv (vi ≠ vj, so no pair keeps its value), in
 		// the order they are moved.
@@ -538,6 +512,13 @@ func (m *Model) CommitSwap(i, j, delta int) {
 			k++
 		}
 		moves := mv[:k]
+		if !fixP && !blame { // no upkeep: the counters alone
+			for _, x := range moves {
+				row[x.ov]--
+				row[x.nv]++
+			}
+			continue
+		}
 		// A valid row's planes ride in registers through its moves.
 		var p0, p1, p2 uint64
 		if fixP {
