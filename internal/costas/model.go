@@ -103,7 +103,7 @@ type Model struct {
 	best      []int // best candidate seen by Reset
 	errVars   []int // indices of erroneous variables (Reset perturbation 3)
 	resetKs   []int // circular-addition constants of §IV-B2, precomputed
-	seenReset []int // per-row seen marks for scanCost; value = generation tag
+	seenReset []int // per-row seen marks for scanCost when planes is nil; value = generation tag
 	seenGen   int
 
 	// Bit-plane cache of the counter matrix for the SWAR scan sweep,
@@ -147,7 +147,14 @@ func New(n int, opts Options) *Model {
 	// 4 heap allocations (3 when n > 32 and the plane cache is absent);
 	// table1's per-solve setup cost is pinned by
 	// TestPerSolveSetupAllocBudget.
-	ints := make([]int, 3*(depth+1)+5*n+4+(depth+1)*width)
+	// The plane cache and scanCost's popcount rows need a row to fit one
+	// word; wider rows fall back to scanCost's seen-mark array.
+	swar := width <= 64
+	seen := 0
+	if !swar {
+		seen = depth * width // rows 1..depth, row d at (d−1)·width
+	}
+	ints := make([]int, 3*(depth+1)+5*n+4+seen)
 	carve := func(k int) []int {
 		s := ints[:k:k]
 		ints = ints[k:]
@@ -161,13 +168,15 @@ func New(n int, opts Options) *Model {
 	m.best = carve(n)
 	m.errVars = carve(n)[:0]
 	m.resetKs = resetConstantsInto(carve(4)[:0], n)
-	m.seenReset = carve((depth + 1) * width)
+	if !swar {
+		m.seenReset = carve(seen)
+	}
 	m.planeGen = carve(depth + 1)
 	cells := depth * width
 	lanes := make([]int32, 2*cells)
 	m.cnt = lanes[:cells:cells]
 	m.pairX = lanes[cells:]
-	if width <= 64 {
+	if swar {
 		m.planes = make([]uint64, 3*depth)
 	}
 	for d := 1; d <= depth; d++ {

@@ -160,7 +160,9 @@ func TestScanProbeMatchesPlainProbe(t *testing.T) {
 
 // TestScratchCapacityBounded: a long solve with many resets must not grow
 // any of the model's scratch slices — the hot path is allocation-free and
-// capacity-stable (the old undo log both allocated and retained).
+// capacity-stable (the old undo log both allocated and retained). At
+// n ≤ 32 scanCost counts rows by popcount, so the seen-mark array is not
+// carved at all; only wider models carry it.
 func TestScratchCapacityBounded(t *testing.T) {
 	const n = 12
 	m := New(n, Options{})
@@ -168,6 +170,14 @@ func TestScratchCapacityBounded(t *testing.T) {
 		cap(m.errVars), cap(m.cand), cap(m.chain), cap(m.best), cap(m.seenReset)
 	if wantErrVars != n {
 		t.Fatalf("errVars preallocation: cap %d, want %d", wantErrVars, n)
+	}
+	if wantSeen != 0 {
+		t.Fatalf("seenReset carved at n = %d: cap %d, want 0 (scanCost uses popcount rows)", n, wantSeen)
+	}
+	for _, wide := range []int{33, 40} {
+		if got, want := cap(New(wide, Options{}).seenReset), ChangDepth(wide)*(2*wide-1); got != want {
+			t.Fatalf("seenReset at n = %d: cap %d, want %d", wide, got, want)
+		}
 	}
 	var resets int64
 	for seed := uint64(1); seed <= 20 && resets < 50; seed++ {

@@ -31,17 +31,19 @@ package walk
 // filled in) rather than an error — the caller can inspect how far each
 // walker got.
 //
-// Determinism: in lockstep mode the engine quanta are claimed dynamically
-// by a worker pool (each engine is stepped by exactly one worker per round,
-// and rounds are separated by a barrier), while policy boundary hooks run
-// sequentially in walker order between rounds, and the window loop itself
-// runs on one goroutine. Per-walker trajectories, pool communication and
-// racing decisions are therefore identical whatever MaxParallelism is —
-// multi-threaded lockstep runs reproduce the single-threaded ones bit for
-// bit.
+// Determinism: in lockstep mode each worker steps its home shard of the
+// walkers and then steals what is left of the others (each engine is
+// stepped by exactly one worker per round, and rounds are separated by a
+// barrier), while policy boundary hooks run sequentially in walker order
+// between rounds, and the window loop itself runs on one goroutine.
+// Claim order decides only which thread steps a walker, never what it
+// computes: per-walker trajectories, pool communication and racing
+// decisions are identical whatever MaxParallelism is — multi-threaded
+// lockstep runs reproduce the single-threaded ones bit for bit.
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -288,67 +290,93 @@ func runReal(ctx context.Context, engines []csp.Engine, s schedule) int {
 }
 
 // runLockstep executes the schedule in barrier-synchronised virtual time.
-// Each round advances every live walker one quantum (each worker claims
-// the next unclaimed walker until none is left), then runs the policy
+// Each round advances every live walker one quantum, then runs the policy
 // boundary hooks sequentially in walker order — so lockstep runs are
 // deterministic for any worker count.
+//
+// Worker w owns the home shard [w·K/W, (w+1)·K/W) of the K walkers. In a
+// round it claims its own shard's walkers first, through that shard's
+// cursor, then steals what is left of the other shards through theirs.
+// So a walker is stepped by the same worker round after round unless the
+// round is uneven, and its engine and model state stay in that worker's
+// CPU cache. The goroutine running this loop is worker 0; the W−1
+// helpers are spawned once per window. Between rounds every worker waits
+// at a barrier that spins and yields before it parks (parker.wait), so a
+// worker that keeps running keeps its OS thread.
 func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
-	var (
-		anySolved atomic.Bool
-		next      atomic.Int64 // the round's next unclaimed walker
-		wg        sync.WaitGroup
-	)
+	var anySolved atomic.Bool
 	// stepped[i] marks walkers that advanced this round without solving —
 	// the ones whose quantum boundary the policy sees. Each index is
 	// written only by the worker that claimed walker i this round and
 	// read after the barrier.
 	stepped := make([]bool, len(engines))
+	advance := func(i int) {
+		e := engines[i]
+		stepped[i] = false
+		if e.Solved() || e.Exhausted() {
+			return
+		}
+		step := s.stepFor(i, e)
+		if step <= 0 {
+			return // parked at the window's end
+		}
+		if e.Step(step) {
+			anySolved.Store(true)
+		} else {
+			stepped[i] = true
+		}
+	}
 
-	claimAndStep := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(engines) {
-				return
-			}
-			e := engines[i]
-			stepped[i] = false
-			if e.Solved() || e.Exhausted() {
-				continue
-			}
-			step := s.stepFor(i, e)
-			if step <= 0 {
-				continue // parked at the window's end
-			}
-			if e.Step(step) {
-				anySolved.Store(true)
-			} else {
-				stepped[i] = true
+	workers := s.workers
+	shardStart := func(w int) int64 { return int64(w * len(engines) / workers) }
+	cursors := make([]cursor, workers)
+	stepRound := func(home int) {
+		for k := range workers {
+			w := (home + k) % workers
+			end := shardStart(w + 1)
+			for i := cursors[w].next.Add(1) - 1; i < end; i = cursors[w].next.Add(1) - 1 {
+				advance(int(i))
 			}
 		}
 	}
 
-	// Persistent worker pool: spawned once and woken each round, so a
-	// round costs one channel send per worker rather than a goroutine
-	// spawn (runs at quantum 64 execute thousands of rounds). A single
-	// worker steps every walker inline with no pool at all.
-	var wake []chan struct{}
-	if s.workers > 1 {
-		wake = make([]chan struct{}, s.workers)
-		for w := range wake {
-			wake[w] = make(chan struct{})
-			go func(w int) {
-				for range wake[w] {
-					claimAndStep()
-					wg.Done()
+	// The round barrier. The loop publishes a round by resetting the
+	// cursors and pending, then bumping gen; each helper steps, and the
+	// one that brings pending to 0 wakes the loop. stopping is published
+	// by the last bump, which tells the helpers to exit.
+	var (
+		gen, pending atomic.Int64
+		stopping     bool
+		exited       sync.WaitGroup
+	)
+	parkers := make([]parker, workers) // parkers[0] is the loop's own
+	for w := range parkers {
+		parkers[w].wake = make(chan struct{}, 1)
+	}
+	for w := 1; w < workers; w++ {
+		exited.Add(1)
+		go func(w int) {
+			defer exited.Done()
+			for round := int64(1); ; round++ {
+				parkers[w].wait(&gen, round)
+				if stopping {
+					return
 				}
-			}(w)
-		}
-		defer func() {
-			for _, c := range wake {
-				close(c)
+				stepRound(w)
+				if pending.Add(-1) == 0 {
+					parkers[0].unpark()
+				}
 			}
-		}()
+		}(w)
 	}
+	defer func() {
+		stopping = true
+		gen.Add(1)
+		for w := 1; w < workers; w++ {
+			parkers[w].unpark()
+		}
+		exited.Wait()
+	}()
 
 	for {
 		if ctx.Err() != nil {
@@ -356,16 +384,16 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 		}
 
 		// Parallel phase: one quantum for every live walker.
-		next.Store(0)
-		if s.workers > 1 {
-			wg.Add(s.workers)
-			for _, c := range wake {
-				c <- struct{}{}
-			}
-			wg.Wait()
-		} else {
-			claimAndStep()
+		for w := range cursors {
+			cursors[w].next.Store(shardStart(w))
 		}
+		pending.Store(int64(workers - 1))
+		gen.Add(1)
+		for w := 1; w < workers; w++ {
+			parkers[w].unpark()
+		}
+		stepRound(0)
+		parkers[0].wait(&pending, 0)
 
 		// Sequential phase: boundary hooks in walker order.
 		if s.policy != nil {
@@ -390,6 +418,66 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 		if allDead {
 			return -1
 		}
+	}
+}
+
+// cursor is a home shard's claim counter: the index of the shard's next
+// unclaimed walker. It is padded to a cache line so that claims on one
+// shard do not contend with claims on its neighbours.
+type cursor struct {
+	next atomic.Int64
+	_    [56]byte
+}
+
+// spinFor bounds how long a lockstep waiter spins and yields before it
+// parks. At the paper's orders one walker quantum takes tens of
+// microseconds (CAP n = 16, quantum 16: about 40 µs), and a round of
+// near-equal walkers ends within about one quantum on every worker, so
+// the bound covers the usual wait at the barrier and the loop's
+// sequential phase between rounds: workers keep running, and keep their
+// OS thread, from round to round. A wait longer than that is an uneven
+// round or an oversubscribed machine, where a parked waiter frees its
+// thread for the work it is waiting on. See DESIGN.md §4.
+const spinFor = 50 * time.Microsecond
+
+// parker lets one goroutine wait for an atomic counter to reach a value
+// set by other goroutines: it spins and yields for up to spinFor, then
+// parks on its wake channel.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{} // capacity 1: at most one token is outstanding
+}
+
+// wait returns once v holds want. A setter stores to v before it calls
+// unpark, and the waiter raises parked before its last look at v, so
+// either that look sees want or unpark sees parked: no wakeup is lost.
+// A waiter that sees want after parking takes its flag back, or, if an
+// unpark got there first, consumes the token that unpark sends. An
+// unpark can also come late: its setter served an earlier wait, which
+// returned while spinning, and only then found this wait's flag raised.
+// So a woken waiter looks at v again and parks again if it is not there.
+func (p *parker) wait(v *atomic.Int64, want int64) {
+	for start := time.Now(); time.Since(start) < spinFor; runtime.Gosched() {
+		if v.Load() == want {
+			return
+		}
+	}
+	for {
+		p.parked.Store(true)
+		if v.Load() == want && p.parked.CompareAndSwap(true, false) {
+			return
+		}
+		<-p.wake
+		if v.Load() == want {
+			return
+		}
+	}
+}
+
+// unpark wakes the goroutine parked in wait, if there is one.
+func (p *parker) unpark() {
+	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
 	}
 }
 
