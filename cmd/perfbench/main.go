@@ -218,6 +218,20 @@ func runAll(benchtime string) ([]Result, error) {
 		})
 	}
 
+	// kernel/scan_swaps_n32 and kernel/scan_swaps_n33 — a full row on
+	// either side of the kernel boundary: n = 32 is the widest SWAR order
+	// (15 rows, the most a default model of that sweep checks), n = 33
+	// the first counter-gather one.
+	for _, n := range []int{32, 33} {
+		m := costas.New(n, costas.Options{})
+		m.Bind(csp.RandomConfiguration(n, rng.New(1)))
+		deltas := make([]int, n)
+		steady(fmt.Sprintf("kernel/scan_swaps_n%d", n), func(k int) {
+			m.ScanSwaps(k%n, deltas)
+			sink += deltas[(k+1)%n]
+		})
+	}
+
 	// kernel/scan_suffixes_n18 — the half neighborhood tabu search and
 	// dialectic descent scan: one op is ScanSwaps(i, deltas[i+1:]) for
 	// every i, the (n²−n)/2 candidates j > i in n−1 ever shorter suffix

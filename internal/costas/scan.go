@@ -26,7 +26,7 @@ package costas
 //
 // A and B do not depend on j except through vj: their removal side is
 // ROW-CONSTANT and is computed once per row. Two sweep implementations
-// share that row-scope hoisting:
+// share that hoisting:
 //
 // SWAR sweep (n ≤ 32, i.e. a triangle row fits one uint64). Per row the
 // cost is Σ_v max(0, count(v)−1) = #pairs − #distinct values, and #pairs
@@ -37,18 +37,18 @@ package costas
 // touch, CommitSwap flips the bit each counter step changes in valid rows
 // only — see model.go). "Before" is row-constant; "after" is the
 // presence word with the vanishing values cleared and the added values
-// set, built in registers: the changed pairs' removals form a 2-entry
-// carry-save counter (seeded with the row-constant A/B removals) that
-// picks the values whose count drops to zero, and the additions are one
-// OR-ed mask. That is exact for removal multiplicities up to two; the
-// ~0.1 % of candidates where THREE pairs remove one value overflow the
-// counter, are detected exactly, and take the exact per-value merge. The
-// row prologue is register constants only, and the inner loops are
-// shift/or/popcount straight line, region-split so the C/D existence tests
-// are hard-wired (j < min(d, n−d): only D; the middle: both or neither;
-// j ≥ max(d, n−d): only C). The candidates j = i ± d, where the pair
-// (i, j) belongs to the row and reverses sign, are scored in the same
-// register algebra after the sweep.
+// set: the changed pairs' removals form a 2-entry carry-save counter
+// (seeded with the row-constant A/B removals) that picks the values whose
+// count drops to zero, and the additions are one OR-ed mask. That is exact
+// for removal multiplicities up to two; the ~0.1 % of (row, candidate)
+// pairs where THREE pairs remove one value overflow the counter, are
+// detected exactly, and take the exact per-value merge. The sweep is
+// candidate-major: a prologue puts every row's constants and every
+// position's pair bits in two small stack tables, and each candidate then
+// runs one loop over the rows with its delta in a register. Absent C/D
+// pairs read zero table entries, so the loop has no existence branch; the
+// one row where the pair (i, j) itself reverses sign (d = |j − i|) is
+// scored after the loop in the same register algebra.
 //
 // Gather sweep (n ≥ 33). The additions and the C/D pairs are per-candidate
 // counter loads and comparisons, accumulated optimistically (a removal
@@ -88,10 +88,10 @@ func (m *Model) ScanSwaps(i int, deltas []int) {
 	if i < 0 || i >= m.n {
 		panic(fmt.Sprintf("costas: ScanSwaps position %d out of range [0,%d)", i, m.n))
 	}
-	clear(deltas)
 	if m.planes != nil {
 		m.scanSwar(i, deltas)
 	} else {
+		clear(deltas)
 		m.scanGather(i, deltas)
 	}
 }
@@ -103,6 +103,26 @@ func b2i(c bool) int {
 		return 1
 	}
 	return 0
+}
+
+// maxSwarDepth bounds the rows of a SWAR model: n ≤ 32, so at most the
+// n−1 = 31 rows of a FullTriangle model.
+const maxSwarDepth = 31
+
+// swarRow is one row's constants in scanSwar's stack table.
+type swarRow struct {
+	p1, c1, c2 uint64 // count ≥ 1, exactly 1, exactly 2; bit = difference mod 64
+	rlo, rhi   uint64 // removals of pairs A and B as a 2-bit carry-save counter
+	gA, gB     uint64 // addition gates of pairs A and B, 0 for an absent pair
+	wd         int    // ERR(d)
+}
+
+// swarPos is one position's entry in scanSwar's stack table: the bits a
+// candidate j's pair C = (p, j) or D = (j, p) removes and adds when its
+// other end p holds x.
+type swarPos struct {
+	remC, addC uint64 // rotl(1, −x), rotated by vj to the old vj−x; new vi−x
+	remD, addD uint64 // rotl(1, x), rotated by −vj to the old x−vj; new x−vi
 }
 
 // scanSwar is the bit-plane sweep — every row of a width ≤ 64 model. Per
@@ -117,181 +137,124 @@ func b2i(c bool) int {
 // 2, and any value some pair joins (A) is present afterwards whatever was
 // removed — a count-0 value cannot be removed, and a joined value's count
 // ends ≥ 1. Addition multiplicity never matters, so A is a plain OR. The
-// row's delta is popcount(P1) − popcount(after); the sweep accumulates
-// −ERR(d)·popcount(after) and adds Σ_d ERR(d)·popcount(P1) to every
-// candidate at the end. j = i lands on 0 without a special case: every
-// pair rejoins the value it left, so after == P1 in every row.
+// row's delta is popcount(P1) − popcount(after).
+//
+// The sweep is candidate-major. A prologue fills two stack tables — each
+// position's pair bits and each row's constants — and sums before =
+// Σ_d ERR(d)·popcount(P1). Then each candidate j runs one loop over the
+// rows with its delta in a register, starting from before and subtracting
+// ERR(d)·popcount(after), and stores it once; j = i is 0.
 //
 // Bits are indexed by difference mod 64 (the plane words rotated right by
 // n−1 in the prologue, injective since a row spans 2n−1 ≤ 63 values), so
-// no offset is added per candidate. The addition of pair A is bit
-// (vj−x)&63 = rotl(gA, vj) with gA = rotl(1, −x), and that of B is bit
-// (y−vj)&63 = rotl(gB, −vj) with gB = rotl(1, y); an absent pair's gate is
-// 0, which every rotation keeps 0, so absent pairs cost no branch and no
-// mask. The carry-save counter is seeded with the row-constant removals
-// of A and B (which absorbs A and B holding the same value), and a third
-// removal of one value overflows it; such candidates are rare, are
-// collected in a bitmask, and take the exact per-value merge after the
-// sweep. The special candidates i ± d are not excluded from the
-// branch-free loops: their slots are saved before the sweep and rewritten
-// with their own register-algebra value after it.
+// every bit a candidate needs is a rotation by vj of a table word: pair
+// A's addition is bit vj−x = rotl(gA, vj) with gA = rotl(1, −x), and
+// pair C's removal is rotl(remC, vj) the same way. The position table is
+// indexed by p&63 and only [0, n) is filled, so a pair C or D that would
+// reach outside the array (p < 0 wraps to [33, 64), p ≥ n stays in
+// [n, 63)) reads zeros and changes nothing: pair existence costs no
+// branch. The carry-save counter is seeded with the row-constant removals
+// of A and B, which absorbs A and B holding the same value. A third
+// removal of one value overflows it; that (row, candidate) alone — about
+// 0.1 % of them — takes the exact per-value merge.
+//
+// Row d = |j − i| is the candidate's special row, skipped by the loop and
+// scored after it: the pair (i, j) belongs to the row, so its removal is
+// already in the seed (bA for j = i−d, bB for j = i+d), its addition is
+// the reversed difference, and the j-side pair that coincides with it
+// (D = (j, i) below i, C = (i, j) above) does not change.
 func (m *Model) scanSwar(i int, out []int) {
 	n, cfg := m.n, m.cfg
 	from := n - len(out)
-	rot := -(n - 1) // planes keep difference v at bit v+n−1
 	vi := cfg[i]
-	before := 0 // Σ_d ERR(d)·popcount(P1_d)
-	for d := 1; d <= m.depth; d++ {
+	var pos [64]swarPos
+	for p, x := range cfg {
+		pos[p&63] = swarPos{
+			remC: bits.RotateLeft64(1, -x), addC: 1 << uint((vi-x)&63),
+			remD: bits.RotateLeft64(1, x), addD: 1 << uint((x-vi)&63),
+		}
+	}
+	var tab [maxSwarDepth]swarRow
+	rows := tab[:m.depth]
+	rot := -(n - 1) // planes keep difference v at bit v+n−1
+	before := 0
+	for k := range rows {
+		d := k + 1
 		if m.planeGen[d] != m.planeEpoch {
 			m.planeRebuildRow(d)
 		}
-		pl := m.planes[3*(d-1) : 3*d]
-		p1 := bits.RotateLeft64(pl[0], rot)
-		c1 := bits.RotateLeft64(pl[0]&^pl[1], rot)
-		c2 := bits.RotateLeft64(pl[1]&^pl[2], rot)
-		wd := m.w[d]
-		k1 := bits.OnesCount64(p1)
-		before += wd * k1
-
-		// Row constants of pairs A = (i−d, i) and B = (i, i+d): the removal
-		// seed and the addition gates.
-		var bA, bB, gA, gB uint64
-		if a := i - d; a >= 0 {
-			bA = 1 << uint((vi-cfg[a])&63)
-			gA = bits.RotateLeft64(1, -cfg[a])
-		}
-		if b := i + d; b < n {
-			bB = 1 << uint((cfg[b]-vi)&63)
-			gB = bits.RotateLeft64(1, cfg[b])
-		}
-		rKlo, rKhi := bA^bB, bA&bB
-
-		low, high := uint(i-d-from), uint(i+d-from)
-		var keepLow, keepHigh int
-		if low < uint(len(out)) {
-			keepLow = out[low]
-		}
-		if high < uint(len(out)) {
-			keepHigh = out[high]
-		}
-
-		// Pair C exists for j ≥ d, pair D for j < n−d. For Chang-depth
-		// rows d ≤ n−d and the middle region has both pairs; FullTriangle
-		// rows can have d > n−d, where the middle region has neither.
-		b1, b2 := d, n-d
-		both := true
-		if b1 > b2 {
-			b1, b2 = b2, b1
-			both = false
-		}
-		var ovfs uint64 // candidates whose removals overflowed, bit j
-
-		// Region 1: j < min(d, n−d) — pair C absent, pair D present.
-		for j := from; j < b1; j++ {
-			vj, t := cfg[j], cfg[j+d]
-			bD := uint64(1) << uint((t-vj)&63)
-			if rKhi&bD != 0 {
-				ovfs |= 1 << uint(j&63)
-				continue
-			}
-			Rlo, Rhi := rKlo^bD, rKhi|rKlo&bD
-			A := bits.RotateLeft64(gA, vj) | bits.RotateLeft64(gB, -vj) |
-				1<<uint((t-vi)&63)
-			out[j-from] -= wd * bits.OnesCount64(p1&^(Rlo&c1|Rhi&c2)|A)
-		}
-
-		// Region 2: min(d, n−d) ≤ j < max(d, n−d).
-		if both {
-			for j := max(from, b1); j < b2; j++ {
-				vj, u, t := cfg[j], cfg[j-d], cfg[j+d]
-				bC := uint64(1) << uint((vj-u)&63)
-				bD := uint64(1) << uint((t-vj)&63)
-				ovf := rKhi & bC
-				Rlo, Rhi := rKlo^bC, rKhi|rKlo&bC
-				ovf |= Rhi & bD
-				Rlo, Rhi = Rlo^bD, Rhi|Rlo&bD
-				if ovf != 0 {
-					ovfs |= 1 << uint(j&63)
-					continue
-				}
-				A := bits.RotateLeft64(gA, vj) | bits.RotateLeft64(gB, -vj) |
-					1<<uint((vi-u)&63) | 1<<uint((t-vi)&63)
-				out[j-from] -= wd * bits.OnesCount64(p1&^(Rlo&c1|Rhi&c2)|A)
-			}
-		} else {
-			kept := p1 &^ (rKlo&c1 | rKhi&c2)
-			for j := max(from, b1); j < b2; j++ {
-				vj := cfg[j]
-				A := bits.RotateLeft64(gA, vj) | bits.RotateLeft64(gB, -vj)
-				out[j-from] -= wd * bits.OnesCount64(kept|A)
-			}
-		}
-
-		// Region 3: j ≥ max(d, n−d) — pair C present, pair D absent.
-		for j := max(from, b2); j < n; j++ {
-			vj, u := cfg[j], cfg[j-d]
-			bC := uint64(1) << uint((vj-u)&63)
-			if rKhi&bC != 0 {
-				ovfs |= 1 << uint(j&63)
-				continue
-			}
-			Rlo, Rhi := rKlo^bC, rKhi|rKlo&bC
-			A := bits.RotateLeft64(gA, vj) | bits.RotateLeft64(gB, -vj) |
-				1<<uint((vi-u)&63)
-			out[j-from] -= wd * bits.OnesCount64(p1&^(Rlo&c1|Rhi&c2)|A)
-		}
-
-		// Overflowed candidates take the exact merge, entered as delta −
-		// popcount(P1) like every other candidate of the row.
-		for ovfs != 0 {
-			j := bits.TrailingZeros64(ovfs)
-			ovfs &= ovfs - 1
-			out[j-from] += wd * (m.exactRowDelta(d, i, j) - k1)
-		}
-
-		// Special candidates of row d. The pair (i, j) belongs to the row:
-		// its removal is already in the seed (bA for j = i−d, bB for
-		// j = i+d) and its addition is the reversed difference vj−vi or
-		// vi−vj. The other i-side pair adds through its gate, and the one
-		// j-side pair that is not (i, j) — C = (j−d, j) below i, D =
-		// (j, j+d) above — removes and adds as in the sweep.
-		if low < uint(len(out)) {
-			j := i - d
-			vj := cfg[j]
-			Rlo, Rhi, ovf := rKlo, rKhi, uint64(0)
-			A := 1<<uint((vj-vi)&63) | bits.RotateLeft64(gB, -vj)
-			if j >= d {
-				u := cfg[j-d]
-				bC := uint64(1) << uint((vj-u)&63)
-				ovf, Rlo, Rhi = Rhi&bC, Rlo^bC, Rhi|Rlo&bC
-				A |= 1 << uint((vi-u)&63)
-			}
-			delta := -bits.OnesCount64(p1&^(Rlo&c1|Rhi&c2) | A)
-			if ovf != 0 {
-				delta = m.exactRowDelta(d, i, j) - k1
-			}
-			out[low] = keepLow + wd*delta
-		}
-		if high < uint(len(out)) {
-			j := i + d
-			vj := cfg[j]
-			Rlo, Rhi, ovf := rKlo, rKhi, uint64(0)
-			A := 1<<uint((vi-vj)&63) | bits.RotateLeft64(gA, vj)
-			if j+d < n {
-				t := cfg[j+d]
-				bD := uint64(1) << uint((t-vj)&63)
-				ovf, Rlo, Rhi = Rhi&bD, Rlo^bD, Rhi|Rlo&bD
-				A |= 1 << uint((t-vi)&63)
-			}
-			delta := -bits.OnesCount64(p1&^(Rlo&c1|Rhi&c2) | A)
-			if ovf != 0 {
-				delta = m.exactRowDelta(d, i, j) - k1
-			}
-			out[high] = keepHigh + wd*delta
-		}
+		pl := m.planes[3*k : 3*k+3]
+		r := &rows[k]
+		r.p1 = bits.RotateLeft64(pl[0], rot)
+		r.c1 = bits.RotateLeft64(pl[0]&^pl[1], rot)
+		r.c2 = bits.RotateLeft64(pl[1]&^pl[2], rot)
+		r.gA, r.gB = pos[(i-d)&63].remC, pos[(i+d)&63].remD
+		bA, bB := bits.RotateLeft64(r.gA, vi), bits.RotateLeft64(r.gB, -vi)
+		r.rlo, r.rhi = bA^bB, bA&bB
+		r.wd = m.w[d]
+		before += r.wd * bits.OnesCount64(r.p1)
 	}
-	for k := range out {
-		out[k] += before
+
+	for j := from; j < n; j++ {
+		if j == i {
+			out[j-from] = 0
+			continue
+		}
+		vj := cfg[j]
+		sk := j - i - 1 // the special row's index
+		if j < i {
+			sk = i - j - 1
+		}
+		acc := before
+		var ovf uint64 // rows whose removals overflowed the counter, bit k
+		// Counting down compares against 0, which frees the register a
+		// length bound would hold (measured ≈ 5 % on the whole sweep).
+		for k := len(rows) - 1; k >= 0; k-- {
+			if k == sk {
+				continue
+			}
+			r := &rows[k]
+			pc, pd := &pos[(j-k-1)&63], &pos[(j+k+1)&63]
+			bC := bits.RotateLeft64(pc.remC, vj)
+			bD := bits.RotateLeft64(pd.remD, -vj)
+			lo, hi := r.rlo^bC, r.rhi|r.rlo&bC
+			if r.rhi&bC|hi&bD != 0 {
+				ovf |= 1 << uint(k)
+				continue
+			}
+			lo, hi = lo^bD, hi|lo&bD
+			A := bits.RotateLeft64(r.gA, vj) | bits.RotateLeft64(r.gB, -vj) | pc.addC | pd.addD
+			acc -= r.wd * bits.OnesCount64(r.p1&^(lo&r.c1|hi&r.c2)|A)
+		}
+		if uint(sk) < uint(len(rows)) {
+			r := &rows[sk]
+			d := sk + 1
+			var A, b uint64 // the row's additions, and its one j-side removal
+			if j > i {
+				pd := &pos[(j+d)&63]
+				A = bits.RotateLeft64(r.gA, vj) | 1<<uint((vi-vj)&63) | pd.addD
+				b = bits.RotateLeft64(pd.remD, -vj)
+			} else {
+				pc := &pos[(j-d)&63]
+				A = bits.RotateLeft64(r.gB, -vj) | 1<<uint((vj-vi)&63) | pc.addC
+				b = bits.RotateLeft64(pc.remC, vj)
+			}
+			if r.rhi&b != 0 {
+				ovf |= 1 << uint(sk)
+			} else {
+				lo, hi := r.rlo^b, r.rhi|r.rlo&b
+				acc -= r.wd * bits.OnesCount64(r.p1&^(lo&r.c1|hi&r.c2)|A)
+			}
+		}
+		// Overflowed rows take the exact merge, entered as delta −
+		// popcount(P1) like every other row of the candidate.
+		for ovf != 0 {
+			k := bits.TrailingZeros64(ovf)
+			ovf &= ovf - 1
+			r := &rows[k]
+			acc += r.wd * (m.exactRowDelta(k+1, i, j) - bits.OnesCount64(r.p1))
+		}
+		out[j-from] = acc
 	}
 }
 

@@ -167,15 +167,16 @@ func TestScanSwapsSuffixMatchesFull(t *testing.T) {
 // puts four positions s, s+d, s+2d, s+3d in arithmetic progression — so
 // i = s+d has the first triple and i = s+2d the second — and fills the rest
 // at random. Full and suffix scans must match SwapDelta for every
-// candidate, on both sweeps (n = 33 is the gather path), both weightings
-// and both triangle depths.
+// candidate, at every order from 4 to 33 (the SWAR sweep's candidate loop
+// branches on |j − i| against the depth and on j against d, which depend
+// on n; n = 33 is the gather path), both weightings and both triangle
+// depths.
 func TestScanSpecialCandidateCollisions(t *testing.T) {
 	r := rng.New(2024)
-	for _, n := range []int{8, 16, 32, 33} {
+	for n := 4; n <= 33; n++ {
 		for _, opts := range costasVariants {
 			m := New(n, opts)
 			cfg := make([]int, n)
-			full, buf := make([]int, n), make([]int, n)
 			exactlyThree := 0
 			for trial := 0; trial < 40; trial++ {
 				d := 1 + r.Intn(min(m.depth, (n-1)/3))
@@ -185,62 +186,131 @@ func TestScanSpecialCandidateCollisions(t *testing.T) {
 				if r.Bool() {
 					v0, step = v0+3*a, -a
 				}
-				used := make([]bool, n)
-				for k := range cfg {
-					cfg[k] = -1
-				}
+				var fixed [][2]int
 				for k := 0; k < 4; k++ {
-					cfg[s+k*d] = v0 + k*step
-					used[v0+k*step] = true
+					fixed = append(fixed, [2]int{s + k*d, v0 + k*step})
 				}
-				var rest []int
-				for v, u := range used {
-					if !u {
-						rest = append(rest, v)
-					}
-				}
-				perm := r.Perm(len(rest))
-				for k := range cfg {
-					if cfg[k] < 0 {
-						cfg[k], perm = rest[perm[0]], perm[1:]
-					}
-				}
-				m.Bind(cfg)
-				held := 0
-				for p := 0; p+d < n; p++ {
-					if cfg[p+d]-cfg[p] == step {
-						held++
-					}
-				}
-				if held == 3 {
+				if bindAround(m, cfg, r, fixed, d, step) {
 					exactlyThree++
 				}
-
-				for i := 0; i < n; i++ {
-					m.ScanSwaps(i, full)
-					for j := 0; j < n; j++ {
-						if want := m.SwapDelta(i, j); full[j] != want {
-							t.Fatalf("n=%d opts=%+v: ScanSwaps(%d)[%d] = %d, SwapDelta = %d (cfg=%v)",
-								n, opts, i, j, full[j], want, cfg)
-						}
-					}
-				}
-				for _, i := range []int{s + d, s + 2*d} {
-					for lo := 0; lo <= n; lo++ {
-						m.ScanSwaps(i, buf[lo:])
-						for j := lo; j < n; j++ {
-							if want := m.SwapDelta(i, j); buf[j] != want {
-								t.Fatalf("n=%d opts=%+v: ScanSwaps(%d, buf[%d:]) left buf[%d] = %d, SwapDelta = %d (cfg=%v)",
-									n, opts, i, lo, j, buf[j], want, cfg)
-							}
-						}
-					}
-				}
+				checkScanCollisions(t, m, cfg, s+d, s+2*d)
 			}
 			// The counter's overflow changes the answer only when the three
 			// pairs are the value's only holders; make sure that was hit.
 			if exactlyThree == 0 {
 				t.Fatalf("n=%d opts=%+v: no configuration held its difference exactly three times", n, opts)
+			}
+		}
+	}
+}
+
+// TestScanGenericCandidateCollisions drives an ordinary candidate's
+// removal counter into overflow: pairs A = (i−d, i) and B = (i, i+d) hold
+// one difference (i−d, i, i+d in arithmetic progression), and a disjoint
+// pair (p, p+d) holds it too, so the candidates j = p+d (through pair C)
+// and j = p (through pair D) remove that value three times. Neither is
+// i ± d, so this is the sweep's generic path, not the special row. Full
+// and suffix scans must match SwapDelta for every candidate, at every
+// order from 6 to 33, both weightings and both triangle depths.
+func TestScanGenericCandidateCollisions(t *testing.T) {
+	r := rng.New(2025)
+	for n := 6; n <= 33; n++ {
+		for _, opts := range costasVariants {
+			m := New(n, opts)
+			cfg := make([]int, n)
+			exactlyThree := 0
+			for trial := 0; trial < 40; trial++ {
+				d := 1 + r.Intn(min(m.depth, (n-1)/4))
+				i := d + r.Intn(n-2*d)
+				taken := map[int]bool{i - d: true, i: true, i + d: true}
+				p := r.Intn(n - d)
+				for taken[p] || taken[p+d] {
+					p = r.Intn(n - d)
+				}
+				// Values x, x+δ, x+2δ at i−d, i, i+d and w, w+δ at p, p+d,
+				// all distinct.
+				var x, w, step int
+				for {
+					a := 1 + r.Intn((n-1)/3)
+					x, w, step = r.Intn(n-2*a), r.Intn(n-a), a
+					if r.Bool() {
+						x, w, step = x+2*a, w+a, -a
+					}
+					if q := (w - x) / step; (w-x)%step != 0 || q < -1 || q > 2 {
+						break
+					}
+				}
+				fixed := [][2]int{{i - d, x}, {i, x + step}, {i + d, x + 2*step}, {p, w}, {p + d, w + step}}
+				if bindAround(m, cfg, r, fixed, d, step) {
+					exactlyThree++
+				}
+				checkScanCollisions(t, m, cfg, i)
+			}
+			if exactlyThree == 0 {
+				t.Fatalf("n=%d opts=%+v: no configuration held its difference exactly three times", n, opts)
+			}
+		}
+	}
+}
+
+// bindAround binds m to cfg holding the fixed (position, value) entries and
+// a random permutation of the remaining values elsewhere, and reports
+// whether row d then holds the difference step exactly three times.
+func bindAround(m *Model, cfg []int, r *rng.RNG, fixed [][2]int, d, step int) bool {
+	n := len(cfg)
+	used := make([]bool, n)
+	for k := range cfg {
+		cfg[k] = -1
+	}
+	for _, pv := range fixed {
+		cfg[pv[0]] = pv[1]
+		used[pv[1]] = true
+	}
+	var rest []int
+	for v, u := range used {
+		if !u {
+			rest = append(rest, v)
+		}
+	}
+	perm := r.Perm(len(rest))
+	for k := range cfg {
+		if cfg[k] < 0 {
+			cfg[k], perm = rest[perm[0]], perm[1:]
+		}
+	}
+	m.Bind(cfg)
+	held := 0
+	for q := 0; q+d < n; q++ {
+		if cfg[q+d]-cfg[q] == step {
+			held++
+		}
+	}
+	return held == 3
+}
+
+// checkScanCollisions checks the full scan of every position, and every
+// suffix scan of the positions in suffixes, against SwapDelta.
+func checkScanCollisions(t *testing.T, m *Model, cfg []int, suffixes ...int) {
+	t.Helper()
+	n := len(cfg)
+	full, buf := make([]int, n), make([]int, n)
+	for i := 0; i < n; i++ {
+		m.ScanSwaps(i, full)
+		for j := 0; j < n; j++ {
+			if want := m.SwapDelta(i, j); full[j] != want {
+				t.Fatalf("n=%d depth=%d w1=%d: ScanSwaps(%d)[%d] = %d, SwapDelta = %d (cfg=%v)",
+					n, m.depth, m.w[1], i, j, full[j], want, cfg)
+			}
+		}
+	}
+	for _, i := range suffixes {
+		for lo := 0; lo <= n; lo++ {
+			m.ScanSwaps(i, buf[lo:])
+			for j := lo; j < n; j++ {
+				if want := m.SwapDelta(i, j); buf[j] != want {
+					t.Fatalf("n=%d depth=%d w1=%d: ScanSwaps(%d, buf[%d:]) left buf[%d] = %d, SwapDelta = %d (cfg=%v)",
+						n, m.depth, m.w[1], i, lo, j, buf[j], want, cfg)
+				}
 			}
 		}
 	}
