@@ -200,69 +200,17 @@ func BenchmarkAblation(b *testing.B) {
 	b.Run("paperParams", run(costas.PaperOptions(), costas.PaperParams(n)))
 }
 
-// BenchmarkExtensionCooperative compares the paper's §VI future-work
-// dependent multi-walk (crossroads pool) against the independent scheme at
-// the same walker count — the extension experiment, not a paper table.
-func BenchmarkExtensionCooperative(b *testing.B) {
-	factory := func() csp.Model { return costas.New(benchParN, costas.Options{}) }
-	b.Run("independent", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res := walk.Virtual(context.Background(), factory, walk.Config{
-				Walkers:    16,
-				Factory:    adaptive.Factory(costas.TunedParams(benchParN)),
-				MasterSeed: uint64(i)*6151 + 1,
-			}, 0)
-			if !res.Solved {
-				b.Fatal("unsolved")
-			}
-		}
-	})
-	b.Run("cooperative", func(b *testing.B) {
-		b.ReportAllocs()
-		coopParams := costas.TunedParams(benchParN)
-		coopParams.RestartLimit = -1 // the cooperative scheduler owns restarts
-		for i := 0; i < b.N; i++ {
-			res := walk.Virtual(context.Background(), factory, walk.Config{
-				Walkers:    16,
-				Factory:    adaptive.Factory(coopParams),
-				MasterSeed: uint64(i)*6151 + 1,
-				Crossroads: &walk.Crossroads{},
-			}, 0)
-			if !res.Solved {
-				b.Fatal("unsolved")
-			}
-		}
-	})
-	b.Run("cooperativeParallel", func(b *testing.B) {
-		b.ReportAllocs()
-		coopParams := costas.TunedParams(benchParN)
-		coopParams.RestartLimit = -1
-		for i := 0; i < b.N; i++ {
-			res := walk.Parallel(context.Background(), factory, walk.Config{
-				Walkers:    16,
-				Factory:    adaptive.Factory(coopParams),
-				MasterSeed: uint64(i)*6151 + 1,
-				Crossroads: &walk.Crossroads{},
-			})
-			if !res.Solved {
-				b.Fatal("unsolved")
-			}
-		}
-	})
-}
-
 // batchOrders is the BenchmarkBatchThroughput workload: a small stream of
 // mixed CAP instances, the shape a hot server path sees.
 func batchOrders() []int {
 	return []int{10, 11, 12, 12, 11, 10, 12, 11}
 }
 
-// BenchmarkBatchThroughput compares the three ways to drain a stream of
-// instances: a sequential core.Solve loop, core.SolveBatch over the
-// worker pool, and the batch with engine reuse. Solves/op is constant
-// across sub-benchmarks, so ns/op is directly comparable — the batch
-// layer must be at least as fast as the hand-rolled loop.
+// BenchmarkBatchThroughput compares the two ways to drain a stream of
+// instances: a sequential core.Solve loop and core.SolveBatch over the
+// worker pool. Solves/op is constant across sub-benchmarks, so ns/op is
+// directly comparable — the batch layer must be at least as fast as the
+// hand-rolled loop.
 func BenchmarkBatchThroughput(b *testing.B) {
 	orders := batchOrders()
 	b.Run("sequentialLoop", func(b *testing.B) {
@@ -277,24 +225,20 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			}
 		}
 	})
-	run := func(reuse bool) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := core.SolveBatch(context.Background(),
-					core.BatchCAP(orders, core.Options{}),
-					core.BatchOptions{MasterSeed: uint64(i)*7919 + 1, ReuseEngines: reuse})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Stats.Solved != len(orders) {
-					b.Fatalf("batch left jobs unsolved: %+v", res.Stats)
-				}
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := core.SolveBatch(context.Background(),
+				core.BatchCAP(orders, core.Options{}),
+				core.BatchOptions{MasterSeed: uint64(i)*7919 + 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Stats.Solved != len(orders) {
+				b.Fatalf("batch left jobs unsolved: %+v", res.Stats)
 			}
 		}
-	}
-	b.Run("batch", run(false))
-	b.Run("batchReuse", run(true))
+	})
 }
 
 // BenchmarkBatchVirtualMixed drives the acceptance-shaped batch — mixed

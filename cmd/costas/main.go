@@ -13,7 +13,7 @@
 //	costas -n 16 -construct               # algebraic construction instead of search
 //	costas -n 12 -method cp               # complete CP search (no multi-walk)
 //	costas -batch 12,13,14                # solve a batch of orders concurrently
-//	costas -batch 14,15 -count 10 -reuse  # 10 solves per order, pooled engines
+//	costas -batch 14,15 -count 10         # 10 solves per order
 //	costas -model "nqueens n=64"          # any registered model via the registry
 //	costas -model "magicsquare k=5 method=tabu walkers=4"
 //	costas -models                        # list the model catalogue
@@ -65,7 +65,6 @@ func main() {
 		batch     = flag.String("batch", "", "comma-separated orders to solve as one concurrent batch (overrides -n)")
 		count     = flag.Int("count", 1, "solves per batch order (batch mode only)")
 		jobs      = flag.Int("jobs", 0, "concurrent batch jobs (0 = GOMAXPROCS)")
-		reuse     = flag.Bool("reuse", false, "pool engines across compatible batch jobs (hot path)")
 		model     = flag.String("model", "", `registry run spec, e.g. "nqueens n=64 method=tabu" (overrides -n)`)
 		addr      = flag.String("addr", "", "submit to a remote solverd node or coordinator at this address instead of solving in-process")
 		models    = flag.Bool("models", false, "list the registered models and exit")
@@ -201,7 +200,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-grid, -triangle and -platform are single-instance reports; -batch does not support them")
 			exit(2)
 		}
-		runBatch(*batch, *count, *jobs, *reuse, batchTemplate{
+		runBatch(*batch, *count, *jobs, batchTemplate{
 			method:    *method,
 			portfolio: *portfolio,
 			walkers:   *walkers,
@@ -299,7 +298,7 @@ type batchTemplate struct {
 // core.SolveBatch and prints one line per job plus the aggregate. The
 // master seed is -seed; per-job seeds are derived from it, so a virtual
 // batch is reproducible run for run.
-func runBatch(orders string, count, jobs int, reuse bool, tmpl batchTemplate) {
+func runBatch(orders string, count, jobs int, tmpl batchTemplate) {
 	var ns []int
 	for _, field := range strings.Split(orders, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(field))
@@ -328,10 +327,9 @@ func runBatch(orders string, count, jobs int, reuse bool, tmpl batchTemplate) {
 		}
 	}
 	res, err := core.SolveBatch(context.Background(), core.BatchCAP(repeated, opts), core.BatchOptions{
-		Concurrency:  jobs,
-		MasterSeed:   tmpl.seed,
-		ReuseEngines: reuse,
-		Backend:      tmpl.backend,
+		Concurrency: jobs,
+		MasterSeed:  tmpl.seed,
+		Backend:     tmpl.backend,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -352,14 +350,14 @@ func runBatch(orders string, count, jobs int, reuse bool, tmpl batchTemplate) {
 		case tmpl.quiet:
 			emit(jr.Result.Array, false, false, true)
 		default:
-			fmt.Printf("job %d: n=%d solved iterations=%d total_iterations=%d reused=%v wall=%v\n",
-				i, n, jr.Result.Iterations, jr.Result.TotalIterations, jr.Reused, jr.Result.WallTime)
+			fmt.Printf("job %d: n=%d solved iterations=%d total_iterations=%d wall=%v\n",
+				i, n, jr.Result.Iterations, jr.Result.TotalIterations, jr.Result.WallTime)
 		}
 	}
 	if !tmpl.quiet {
 		st := res.Stats
-		fmt.Printf("batch: jobs=%d solved=%d errors=%d reused=%d total_iterations=%d wall=%v throughput=%.1f solves/s\n",
-			st.Jobs, st.Solved, st.Errors, st.EnginesReused, st.TotalIterations, st.WallTime, st.SolvesPerSec)
+		fmt.Printf("batch: jobs=%d solved=%d errors=%d total_iterations=%d wall=%v throughput=%.1f solves/s\n",
+			st.Jobs, st.Solved, st.Errors, st.TotalIterations, st.WallTime, st.SolvesPerSec)
 	}
 	if failed {
 		exit(1)

@@ -35,24 +35,23 @@ func main() {
 	}
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: paperbench [-scale quick|laptop|paper] <experiment>|all")
-		fmt.Fprintln(os.Stderr, "experiments: table1 table2 table3 table4 table5 fig2 fig3 fig4 cp ablation extension")
+		fmt.Fprintln(os.Stderr, "experiments: table1 table2 table3 table4 table5 fig2 fig3 fig4 cp ablation")
 		os.Exit(2)
 	}
 
 	experiments := map[string]func(Scale){
-		"table1":    runTable1,
-		"table2":    runTable2,
-		"table3":    runTable3,
-		"table4":    runTable4,
-		"table5":    runTable5,
-		"fig2":      runFig2,
-		"fig3":      runFig3,
-		"fig4":      runFig4,
-		"cp":        runCP,
-		"ablation":  runAblation,
-		"extension": runExtension,
+		"table1":   runTable1,
+		"table2":   runTable2,
+		"table3":   runTable3,
+		"table4":   runTable4,
+		"table5":   runTable5,
+		"fig2":     runFig2,
+		"fig3":     runFig3,
+		"fig4":     runFig4,
+		"cp":       runCP,
+		"ablation": runAblation,
 	}
-	order := []string{"table1", "table2", "cp", "table3", "table4", "table5", "fig2", "fig3", "fig4", "ablation", "extension"}
+	order := []string{"table1", "table2", "cp", "table3", "table4", "table5", "fig2", "fig3", "fig4", "ablation"}
 
 	start := time.Now()
 	for _, arg := range flag.Args() {

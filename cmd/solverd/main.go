@@ -9,8 +9,7 @@
 //	curl -s -X POST localhost:8080/v1/solve \
 //	    -d '{"model": "costas n=18", "options": {"walkers": 4}}' | jq .
 //	curl -s -X POST localhost:8080/v1/batch \
-//	    -d '{"jobs": [{"model": "costas n=14"}, {"model": "nqueens n=64"}],
-//	         "reuse_engines": true}' | jq .stats
+//	    -d '{"jobs": [{"model": "costas n=14"}, {"model": "nqueens n=64"}]}' | jq .stats
 //	curl -s localhost:8080/metrics | jq .
 //
 // Coordinator mode — one solverd fronting other solverds: pass worker

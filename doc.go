@@ -22,11 +22,9 @@
 //
 // All run modes share one cancellable scheduler core
 // (internal/walk/scheduler.go) parameterised by execution mode (real
-// goroutines vs lockstep virtual time) and communication policy
-// (independent vs the §VI crossroads pool); on top of it,
-// core.SolveBatch is the throughput layer — many instances solved
-// concurrently over a bounded worker pool, with engine pooling via
-// csp.Restartable for hot serving paths.
+// goroutines vs lockstep virtual time); on top of it, core.SolveBatch is
+// the throughput layer — many instances solved concurrently over a
+// bounded worker pool.
 //
 // Above the facade sits the serving stack: internal/registry names every
 // model behind declarative specs ("costas n=18", "nqueens n=64

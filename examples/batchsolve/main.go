@@ -5,14 +5,11 @@
 // server's hot path wants instead of a hand-rolled loop of core.Solve
 // calls.
 //
-// Three aspects are shown:
+// Two aspects are shown:
 //
 //  1. a mixed batch (orders × methods) solved concurrently, reproducible
 //     job for job because per-job seeds derive from one master seed;
-//  2. the engine-reuse hot path: homogeneous sequential jobs re-arm a
-//     pooled engine through csp.Restartable instead of allocating a fresh
-//     model and engine per solve;
-//  3. cancellation: a deadline stops the whole batch promptly, returning
+//  2. cancellation: a deadline stops the whole batch promptly, returning
 //     partial per-job results — no run mode is unstoppable.
 //
 // Run with:
@@ -52,20 +49,7 @@ func main() {
 	}
 	fmt.Println("  ... (deterministic: rerunning with the same master seed reproduces every job)")
 
-	// --- 2. The hot path: homogeneous sequential jobs with pooled engines.
-	stream := make([]int, 64)
-	for i := range stream {
-		stream[i] = 13
-	}
-	hot, err := core.SolveBatch(context.Background(), core.BatchCAP(stream, core.Options{}),
-		core.BatchOptions{MasterSeed: 7, ReuseEngines: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nhot path: %d × CAP 13, %d solves served by pooled engines — %.0f solves/s\n",
-		hot.Stats.Jobs, hot.Stats.EnginesReused, hot.Stats.SolvesPerSec)
-
-	// --- 3. Cancellation: a deadline cuts a hopeless batch short.
+	// --- 2. Cancellation: a deadline cuts a hopeless batch short.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -13,7 +13,7 @@ import (
 func TestBatchFlow(t *testing.T) {
 	res, err := core.SolveBatch(context.Background(),
 		core.BatchCAP([]int{9, 10, 10}, core.Options{}),
-		core.BatchOptions{MasterSeed: 3, ReuseEngines: true})
+		core.BatchOptions{MasterSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

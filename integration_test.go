@@ -146,21 +146,6 @@ func TestCoreFacadeMatchesWalkDirectly(t *testing.T) {
 	}
 }
 
-// TestCooperativeExtensionSolvesHarderInstance: the §VI future-work
-// implementation completes on a medium instance.
-func TestCooperativeExtensionSolvesHarderInstance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipped in -short mode")
-	}
-	coopParams := costas.TunedParams(15)
-	coopParams.RestartLimit = -1 // the cooperative scheduler owns restarts
-	res := walk.Virtual(context.Background(), func() csp.Model { return costas.New(15, costas.Options{}) },
-		walk.Config{Walkers: 8, Factory: adaptive.Factory(coopParams), MasterSeed: 2, Crossroads: &walk.Crossroads{}}, 0)
-	if !res.Solved || !costas.IsCostas(res.Solution) {
-		t.Fatalf("cooperative run failed: %+v", res)
-	}
-}
-
 func permKey(p []int) string {
 	b := make([]byte, len(p))
 	for i, v := range p {

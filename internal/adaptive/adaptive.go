@@ -371,11 +371,11 @@ func (e *Engine) restart() {
 }
 
 // RestartFrom installs a copy of cfg as the walker's configuration,
-// rebinding the model and clearing the tabu/restart state. External
-// restart policies use it — notably the cooperative multi-walk, which
-// seeds restarts from shared "crossroads" (§VI future work). It panics if
-// cfg is not a permutation of the model's size, because a corrupted
-// configuration would silently poison all subsequent incremental costs.
+// rebinding the model and clearing the tabu/restart state — the
+// csp.Restartable hook behind racing migration and campaign resume. It
+// panics if cfg is not a permutation of the model's size, because a
+// corrupted configuration would silently poison all subsequent
+// incremental costs.
 func (e *Engine) RestartFrom(cfg []int) {
 	if len(cfg) != len(e.cfg) || !csp.IsPermutation(cfg) {
 		panic("adaptive: RestartFrom with invalid configuration")

@@ -26,9 +26,7 @@ import (
 //     JOB INDEX (the chaotic seeder of §III-B3, exactly as
 //     core.SolveBatch derives them) BEFORE any placement decision. A
 //     virtual-mode batch is therefore bit-identical over 1 node or N —
-//     sharding and work-stealing cannot show in the results. The one
-//     exception is inherited from core: ReuseEngines trades per-job
-//     reproducibility for throughput.
+//     sharding and work-stealing cannot show in the results.
 //   - Distributed multi-walk: each shard's master seed is derived from
 //     Options.Seed by SHARD INDEX, so the walker population is
 //     reproducible for a fixed seed and node count, while which shard

@@ -432,10 +432,9 @@ func (r *Remote) SolveBatch(ctx context.Context, jobs []core.BatchJob, opts core
 			return core.BatchResult{}, err
 		}
 		req := service.BatchRequest{
-			Jobs:         wire,
-			Concurrency:  opts.Concurrency,
-			ReuseEngines: opts.ReuseEngines,
-			TimeoutMS:    timeoutMS,
+			Jobs:        wire,
+			Concurrency: opts.Concurrency,
+			TimeoutMS:   timeoutMS,
 		}
 		var resp service.BatchResponse
 		if err := r.call(ctx, "/v1/batch", req, &resp); err != nil {
@@ -445,7 +444,7 @@ func (r *Remote) SolveBatch(ctx context.Context, jobs []core.BatchJob, opts core
 			return core.BatchResult{}, &RemoteError{Backend: r.Name(), Err: fmt.Errorf("batch reply has %d jobs, sent %d", len(resp.Jobs), len(wire))}
 		}
 		for k, bjr := range resp.Jobs {
-			jr := core.JobResult{Job: idx[k], Reused: bjr.Reused}
+			jr := core.JobResult{Job: idx[k]}
 			if bjr.Error != "" {
 				jr.Err = errors.New(bjr.Error)
 			}

@@ -2,18 +2,16 @@ package core
 
 // Batch / throughput layer: solve many instances — mixed orders, mixed
 // methods, mixed execution modes — concurrently over a bounded worker
-// pool, with per-job results, aggregate stats and an engine-reuse hot
-// path. This is the serving-shaped API on top of the unified multi-walk
-// scheduler: a server handling a stream of solve requests wants one call
-// that amortises model/engine allocation and saturates the machine, not a
-// hand-rolled loop of core.Solve calls.
+// pool, with per-job results and aggregate stats. This is the
+// serving-shaped API on top of the unified multi-walk scheduler: a server
+// handling a stream of solve requests wants one call that saturates the
+// machine, not a hand-rolled loop of core.Solve calls.
 //
 // Determinism: every job gets an explicit seed — its own Options.Seed if
 // non-zero, otherwise one derived from BatchOptions.MasterSeed and the
 // job index via the chaotic seeder (§III-B3). Job outcomes are therefore
 // independent of worker scheduling: a virtual-mode batch is bit-identical
-// across runs and concurrency levels for a fixed master seed. The one
-// documented exception is ReuseEngines (see BatchOptions).
+// across runs and concurrency levels for a fixed master seed.
 
 import (
 	"context"
@@ -26,7 +24,6 @@ import (
 	"repro/internal/csp"
 	"repro/internal/registry"
 	"repro/internal/rng"
-	"repro/internal/walk"
 )
 
 // BatchJob describes one solve in a batch: the instance plus the solver
@@ -45,9 +42,7 @@ type BatchJob struct {
 	// Spec optionally names the instance through the model registry as a
 	// run spec ("nqueens n=64 method=tabu", see ParseRunSpec): solver
 	// option keys in the spec override Options, the rest resolves the
-	// model. Mutually exclusive with NewModel; Options.N is ignored. A
-	// costas spec is routed onto the CAP fast path, so it stays eligible
-	// for the ReuseEngines pool exactly like an Options.N job.
+	// model. Mutually exclusive with NewModel; Options.N is ignored.
 	Spec string
 }
 
@@ -71,17 +66,6 @@ type BatchOptions struct {
 	// against the same registry that validated them.
 	Registry *registry.Registry
 
-	// ReuseEngines enables the hot path: each worker caches its last
-	// model+engine and, when the next job has the same shape (same order,
-	// method and model options; sequential; default params; unlimited
-	// budget), re-arms it through csp.Restartable with a fresh seeded
-	// random permutation instead of allocating anew. Per-job stats are
-	// attributed via csp.Stats.Sub. The engine's internal RNG state
-	// carries across solves, so reused jobs are statistically equivalent
-	// but not bit-reproducible — leave this off when job-level determinism
-	// matters more than allocation throughput.
-	ReuseEngines bool
-
 	// Backend routes the whole batch through an execution backend instead
 	// of the in-process worker pool; nil means in-process. A backend.Pool
 	// here shards the jobs across solverd nodes with per-job seeds still
@@ -102,8 +86,6 @@ type JobResult struct {
 	// while it ran (the partial Result stays attached). An unsolved job
 	// within its budget is NOT an error — check Result.Solved.
 	Err error
-	// Reused tells whether the job ran on a pooled engine (hot path).
-	Reused bool
 }
 
 // BatchStats aggregates a batch run.
@@ -111,7 +93,6 @@ type BatchStats struct {
 	Jobs            int           // jobs submitted
 	Solved          int           // jobs that found a solution
 	Errors          int           // jobs that returned an error
-	EnginesReused   int           // jobs served by a pooled engine
 	TotalIterations int64         // Σ per-job TotalIterations
 	WallTime        time.Duration // batch wall time
 	SolvesPerSec    float64       // Solved / WallTime
@@ -167,9 +148,8 @@ func SolveBatch(ctx context.Context, jobs []BatchJob, opts BatchOptions) (BatchR
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var cache engineCache
 			for idx := range next {
-				res.Jobs[idx] = runBatchJob(ctx, jobs[idx], idx, seeds[idx], opts, &cache)
+				res.Jobs[idx] = runBatchJob(ctx, jobs[idx], idx, seeds[idx], opts.Registry)
 			}
 		}()
 	}
@@ -249,9 +229,6 @@ func SummarizeBatch(jobs []JobResult, wall time.Duration) BatchStats {
 		case jr.Result.Solved:
 			st.Solved++
 		}
-		if jr.Reused {
-			st.EnginesReused++
-		}
 		st.TotalIterations += jr.Result.TotalIterations
 	}
 	if secs := wall.Seconds(); secs > 0 {
@@ -281,111 +258,49 @@ func (j BatchJob) ShipSpec() (string, error) {
 	}
 }
 
-// reuseKey identifies the engine shapes the hot path may pool: CAP
-// instances solved sequentially with a single method, default parameters
-// and an unlimited budget — the shape a hot server path hits over and
-// over. Everything about such an engine is a pure function of this key,
-// so a cached engine can serve any job with an equal key.
-type reuseKey struct {
-	method string
-	n      int
-	model  costas.Options
-}
-
-// engineCache is one worker's pooled engine (at most one per worker: hot
-// paths batch homogeneous jobs, and a miss simply rebuilds).
-type engineCache struct {
-	key  reuseKey
-	eng  csp.Engine
-	rs   csp.Restartable
-	perm []int
-}
-
-// reusableKey reports whether a job's shape qualifies for engine pooling
-// and returns its cache key.
-func reusableKey(job BatchJob) (reuseKey, bool) {
-	if job.NewModel != nil || job.Options.Walkers > 1 || job.Options.Virtual {
-		return reuseKey{}, false
-	}
-	o := job.Options
-	if o.N < 1 || o.Params != nil || o.MaxIterations != 0 || len(o.Portfolio) > 0 {
-		return reuseKey{}, false
-	}
-	method, err := normalizeMethod(o.Method)
-	if err != nil || method == MethodPortfolio {
-		return reuseKey{}, false
-	}
-	return reuseKey{method: method, n: o.N, model: o.Model}, true
-}
-
-// resolveBatchJob normalizes a spec-named job into the two primitive
-// shapes the dispatch below understands: a CAP job (NewModel nil, N set —
-// reuse-eligible) or a registry instance to solve through SolveInstance.
-// Jobs without a Spec pass through untouched.
-func resolveBatchJob(job BatchJob, reg *registry.Registry) (BatchJob, *registry.Instance, error) {
+// resolveBatchJob resolves a spec-named job into its registry instance
+// and its options (the spec's solver-option keys applied over
+// job.Options). A job without a Spec resolves to a nil instance and its
+// own options.
+func resolveBatchJob(job BatchJob, reg *registry.Registry) (*registry.Instance, Options, error) {
 	if job.Spec == "" {
-		return job, nil, nil
+		return nil, job.Options, nil
 	}
 	if job.NewModel != nil {
-		return job, nil, fmt.Errorf("core: batch job sets both Spec and NewModel")
+		return nil, job.Options, fmt.Errorf("core: batch job sets both Spec and NewModel")
 	}
 	if reg == nil {
 		reg = registry.Default
 	}
 	inst, opts, err := ParseRunSpecIn(reg, job.Spec, job.Options)
-	if err != nil {
-		return job, nil, err
-	}
-	if inst.Entry.Name == "costas" && reg == registry.Default {
-		// The CAP through the Default registry is the same instance Solve
-		// builds (tuned params, default model options), so route it onto
-		// the Options.N fast path and keep the engine pool in play. A
-		// custom registry's "costas" could be anything — those jobs take
-		// the generic (unpooled) instance path below.
-		opts.N = inst.Spec.Params["n"]
-		return BatchJob{Options: opts}, nil, nil
-	}
-	opts.N = 0
-	return BatchJob{Options: opts}, &inst, nil
+	return &inst, opts, err
 }
 
-// runBatchJob executes one job, preferring the pooled-engine hot path
-// when enabled and applicable.
-func runBatchJob(ctx context.Context, job BatchJob, idx int, derivedSeed uint64, opts BatchOptions, cache *engineCache) JobResult {
+// runBatchJob executes one job: a spec job through SolveInstance, a
+// NewModel job through SolveModel and a plain CAP job through Solve.
+func runBatchJob(ctx context.Context, job BatchJob, idx int, derivedSeed uint64, reg *registry.Registry) JobResult {
 	if err := ctx.Err(); err != nil {
 		return JobResult{Job: idx, Err: err}
 	}
 
-	job, inst, err := resolveBatchJob(job, opts.Registry)
+	inst, opts, err := resolveBatchJob(job, reg)
 	if err != nil {
 		return JobResult{Job: idx, Err: err}
 	}
-
-	seed := job.Options.Seed
-	if seed == 0 {
-		seed = derivedSeed
+	if opts.Seed == 0 {
+		opts.Seed = derivedSeed
 	}
 
-	var jr JobResult
-	if key, ok := reusableKey(job); opts.ReuseEngines && ok && inst == nil {
-		jr = runReusedJob(ctx, job, idx, seed, key, cache)
-	} else {
-		jobOpts := job.Options
-		jobOpts.Seed = seed
-		var (
-			r   Result
-			err error
-		)
-		switch {
-		case inst != nil:
-			r, err = SolveInstance(ctx, *inst, jobOpts)
-		case job.NewModel != nil:
-			r, err = SolveModel(ctx, job.NewModel, jobOpts)
-		default:
-			r, err = Solve(ctx, jobOpts)
-		}
-		jr = JobResult{Job: idx, Result: r, Err: err}
+	var r Result
+	switch {
+	case inst != nil:
+		r, err = SolveInstance(ctx, *inst, opts)
+	case job.NewModel != nil:
+		r, err = SolveModel(ctx, job.NewModel, opts)
+	default:
+		r, err = Solve(ctx, opts)
 	}
+	jr := JobResult{Job: idx, Result: r, Err: err}
 	// A job the solver stopped mid-run because ctx fired is cancelled, not
 	// "unsolved within budget" — surface that through Err (the partial
 	// Result stays attached) so callers can tell the two apart. The
@@ -395,79 +310,6 @@ func runBatchJob(ctx context.Context, job BatchJob, idx int, derivedSeed uint64,
 		jr.Err = context.Cause(ctx)
 	}
 	return jr
-}
-
-// runReusedJob runs a job on the worker's pooled engine, rebuilding the
-// cache on a shape miss. The engine is re-armed with a fresh random
-// permutation derived from the job seed; per-job stats are the counter
-// deltas since the re-arm, so a reused solve reports exactly the work it
-// did — not the engine's lifetime totals.
-func runReusedJob(ctx context.Context, job BatchJob, idx int, seed uint64, key reuseKey, cache *engineCache) JobResult {
-	start := time.Now()
-	reused := cache.eng != nil && cache.key == key
-	if !reused {
-		factory, err := methodFactory(key.method, costas.TunedParams(key.n), job.Options)
-		if err != nil {
-			return JobResult{Job: idx, Err: err}
-		}
-		eng := factory(costas.New(key.n, key.model), seed)
-		rs, ok := eng.(csp.Restartable)
-		if !ok {
-			// Defensive: all four methods implement Restartable (the
-			// conformance suite enforces it); an engine that does not
-			// simply runs once and is not pooled.
-			*cache = engineCache{}
-			return finishEngineJob(ctx, idx, eng, csp.Stats{}, false, start)
-		}
-		*cache = engineCache{key: key, eng: eng, rs: rs, perm: make([]int, key.n)}
-	} else {
-		rng.New(seed).PermInto(cache.perm)
-		cache.rs.RestartFrom(cache.perm)
-	}
-
-	base := csp.Stats{}
-	if reused {
-		base = cache.eng.Stats()
-	}
-	return finishEngineJob(ctx, idx, cache.eng, base, reused, start)
-}
-
-// solveEngine drives an engine to completion in probe quanta so a
-// cancelled ctx stops the solve promptly, mirroring the scheduler's
-// real-mode cancellation latency.
-func solveEngine(ctx context.Context, e csp.Engine) bool {
-	for !e.Solved() && !e.Exhausted() {
-		if ctx.Err() != nil {
-			return e.Solved()
-		}
-		e.Step(walk.DefaultCheckEvery)
-	}
-	return e.Solved()
-}
-
-func finishEngineJob(ctx context.Context, idx int, e csp.Engine, base csp.Stats, reused bool, start time.Time) JobResult {
-	solved := solveEngine(ctx, e)
-	st := e.Stats().Sub(base)
-	r := Result{
-		Solved:          solved,
-		Winner:          -1,
-		Iterations:      0,
-		TotalIterations: st.Iterations,
-		WallTime:        time.Since(start),
-		Cancelled:       !solved && !e.Exhausted() && ctx.Err() != nil,
-		Stats:           []csp.Stats{st},
-	}
-	if solved {
-		r.Array = e.Solution()
-		r.Winner = 0
-		r.Iterations = st.Iterations
-		if !costas.IsCostas(r.Array) {
-			// Same loud failure as Solve: a claimed solution that does not
-			// verify means a broken engine/model invariant.
-			return JobResult{Job: idx, Err: fmt.Errorf("core: internal error — claimed solution %v is not a Costas array", r.Array), Reused: reused}
-		}
-	}
-	return JobResult{Job: idx, Result: r, Err: nil, Reused: reused}
 }
 
 // BatchCAP is a convenience builder: one job per order in orders, all

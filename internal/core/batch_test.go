@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -75,11 +76,42 @@ func TestSolveBatchDeterministicInVirtualMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range jobs {
-		a, b := r1.Jobs[i].Result, r2.Jobs[i].Result
-		if a.Iterations != b.Iterations || a.Winner != b.Winner {
-			t.Fatalf("job %d not reproducible across concurrency: (%d,%d) vs (%d,%d)",
-				i, a.Winner, a.Iterations, b.Winner, b.Iterations)
+	requireSameJobResults(t, r1, r2)
+}
+
+// TestSolveBatchSequentialSameShapeDeterministic: a batch of identical
+// sequential jobs on one worker — one engine shape solved over and over —
+// must reproduce job for job when run again.
+func TestSolveBatchSequentialSameShapeDeterministic(t *testing.T) {
+	jobs := BatchCAP([]int{12, 12, 12, 12, 12, 12}, Options{})
+	run := func() BatchResult {
+		res, err := SolveBatch(context.Background(), jobs, BatchOptions{MasterSeed: 7, Concurrency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, jr := range res.Jobs {
+			if jr.Err != nil || !jr.Result.Solved || !Verify(jr.Result.Array) {
+				t.Fatalf("job %d failed: %v %+v", i, jr.Err, jr.Result)
+			}
+		}
+		return res
+	}
+	requireSameJobResults(t, run(), run())
+}
+
+// requireSameJobResults fails unless two batches returned equal
+// JobResults, job for job; wall times are the only fields allowed to
+// differ.
+func requireSameJobResults(t *testing.T, a, b BatchResult) {
+	t.Helper()
+	if len(a.Jobs) != len(b.Jobs) {
+		t.Fatalf("%d job results vs %d", len(a.Jobs), len(b.Jobs))
+	}
+	for i := range a.Jobs {
+		x, y := a.Jobs[i], b.Jobs[i]
+		x.Result.WallTime, y.Result.WallTime = 0, 0
+		if !reflect.DeepEqual(x, y) {
+			t.Fatalf("job %d not reproducible:\n got %+v\nwant %+v", i, y, x)
 		}
 	}
 }
@@ -117,58 +149,6 @@ func TestSolveBatchExplicitSeedWins(t *testing.T) {
 	if got.Iterations != direct.Iterations || got.Winner != direct.Winner {
 		t.Fatalf("explicit-seed batch job diverges from Solve: (%d,%d) vs (%d,%d)",
 			got.Winner, got.Iterations, direct.Winner, direct.Iterations)
-	}
-}
-
-func TestSolveBatchEngineReuse(t *testing.T) {
-	// A homogeneous sequential batch on one worker: every job after the
-	// first must ride the pooled engine, and still verify.
-	orders := []int{12, 12, 12, 12, 12, 12}
-	jobs := BatchCAP(orders, Options{})
-	res, err := SolveBatch(context.Background(), jobs,
-		BatchOptions{MasterSeed: 7, Concurrency: 1, ReuseEngines: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, jr := range res.Jobs {
-		if jr.Err != nil || !jr.Result.Solved || !Verify(jr.Result.Array) {
-			t.Fatalf("job %d failed on the reuse path: %v %+v", i, jr.Err, jr.Result)
-		}
-		if jr.Result.TotalIterations != jr.Result.Stats[0].Iterations {
-			t.Fatalf("job %d stats not per-solve deltas: %+v", i, jr.Result)
-		}
-	}
-	if res.Stats.EnginesReused != len(orders)-1 {
-		t.Fatalf("expected %d reused engines on one worker, got %d",
-			len(orders)-1, res.Stats.EnginesReused)
-	}
-	if res.Jobs[0].Reused || !res.Jobs[len(orders)-1].Reused {
-		t.Fatalf("reuse flags wrong: first=%v last=%v",
-			res.Jobs[0].Reused, res.Jobs[len(orders)-1].Reused)
-	}
-}
-
-func TestSolveBatchReuseSkipsIncompatibleShapes(t *testing.T) {
-	// Multi-walk, budgeted and portfolio jobs must never be pooled — their
-	// engines are not a pure function of (method, n, model options).
-	jobs := []BatchJob{
-		{Options: Options{N: 12, Walkers: 4}},
-		{Options: Options{N: 12, MaxIterations: 1 << 30}},
-		{Options: Options{N: 12, Method: "portfolio", Walkers: 2}},
-		{Options: Options{N: 12, Walkers: 4, Virtual: true}},
-	}
-	res, err := SolveBatch(context.Background(), jobs,
-		BatchOptions{MasterSeed: 3, Concurrency: 1, ReuseEngines: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.EnginesReused != 0 {
-		t.Fatalf("incompatible job shapes were pooled: %+v", res.Stats)
-	}
-	for i, jr := range res.Jobs {
-		if jr.Err != nil || !jr.Result.Solved {
-			t.Fatalf("job %d failed: %v %+v", i, jr.Err, jr.Result)
-		}
 	}
 }
 

@@ -172,26 +172,33 @@ func TestBatchSpecJobs(t *testing.T) {
 	}
 }
 
-// TestBatchSpecCostasKeepsEnginePool: costas specs must stay eligible for
-// the ReuseEngines hot path — the service's batch endpoint depends on it.
-func TestBatchSpecCostasKeepsEnginePool(t *testing.T) {
-	jobs := make([]BatchJob, 8)
-	for i := range jobs {
-		jobs[i] = BatchJob{Spec: "costas n=10"}
+// TestBatchSpecCostasMatchesBatchCAP: a "costas n=10" spec job solves
+// through the registry instance path, a BatchCAP job through Solve; the
+// two must be the same run job for job under one master seed.
+func TestBatchSpecCostasMatchesBatchCAP(t *testing.T) {
+	specJobs := make([]BatchJob, 8)
+	for i := range specJobs {
+		specJobs[i] = BatchJob{Spec: "costas n=10"}
 	}
-	res, err := SolveBatch(context.Background(), jobs, BatchOptions{
-		Concurrency:  1, // one worker ⇒ jobs after the first all reuse
-		MasterSeed:   4,
-		ReuseEngines: true,
-	})
+	capJobs := BatchCAP([]int{10, 10, 10, 10, 10, 10, 10, 10}, Options{})
+	opts := BatchOptions{Concurrency: 1, MasterSeed: 4}
+	viaSpec, err := SolveBatch(context.Background(), specJobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Errors != 0 || res.Stats.Solved != len(jobs) {
-		t.Fatalf("batch stats %+v", res.Stats)
+	viaCAP, err := SolveBatch(context.Background(), capJobs, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.EnginesReused != len(jobs)-1 {
-		t.Fatalf("reused %d jobs, want %d", res.Stats.EnginesReused, len(jobs)-1)
+	if viaSpec.Stats.Errors != 0 || viaSpec.Stats.Solved != len(specJobs) {
+		t.Fatalf("batch stats %+v", viaSpec.Stats)
+	}
+	for i := range specJobs {
+		a, b := viaSpec.Jobs[i].Result, viaCAP.Jobs[i].Result
+		if !reflect.DeepEqual(a.Array, b.Array) || a.Iterations != b.Iterations ||
+			a.TotalIterations != b.TotalIterations || !reflect.DeepEqual(a.Stats, b.Stats) {
+			t.Fatalf("job %d: spec route %+v differs from BatchCAP route %+v", i, a, b)
+		}
 	}
 }
 

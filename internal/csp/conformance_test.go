@@ -6,7 +6,7 @@ package csp_test
 // contract — a Step-driven run follows the same trajectory iteration for
 // iteration as a monolithic Solve from the same seed, whatever the
 // quantum. This is what lets the multi-walk runner, the virtual lockstep
-// cluster, the cooperative scheduler and the HTTP service drive any
+// cluster, the racing scheduler and the HTTP service drive any
 // method on any model interchangeably.
 //
 // The model list is the full registry catalogue (internal/registry), each
@@ -205,8 +205,8 @@ func restartable(t *testing.T, e csp.Engine) csp.Restartable {
 
 // TestRestartFromInstallsCopyAndRebinds: RestartFrom must copy the given
 // configuration (never alias caller storage) and rebind the model so the
-// engine's Cost reflects it immediately — the invariants the cooperative
-// scheduler and the batch engine pool both rely on.
+// engine's Cost reflects it immediately — the invariants racing migration
+// and campaign resume both rely on.
 func TestRestartFromInstallsCopyAndRebinds(t *testing.T) {
 	const n = 10
 	for engineName, factory := range conformanceEngines() {
@@ -326,9 +326,9 @@ func TestRestartFromClearsPerRunState(t *testing.T) {
 	}
 }
 
-// TestStatsSubAttributesPerSolveWork: the Stats.Sub delta used by the
-// batch engine pool must attribute exactly the work done since the
-// snapshot, for every engine.
+// TestStatsSubAttributesPerSolveWork: the Stats.Sub delta (the racing
+// allocator's per-window observation) must attribute exactly the work
+// done since the snapshot, for every engine.
 func TestStatsSubAttributesPerSolveWork(t *testing.T) {
 	const n = 11
 	for engineName, factory := range conformanceEngines() {

@@ -33,11 +33,11 @@ type Stats struct {
 	Descents     int64 // greedy descents performed (dialectic)
 }
 
-// Sub returns the counter deltas since a prior snapshot — the per-solve
-// stats of a pooled engine that served earlier solves. Counters are
-// cumulative over an engine's lifetime, so a caller reusing one engine
-// across many walks (see Restartable) snapshots Stats() at the start of
-// each walk and reports Stats().Sub(snapshot) at the end.
+// Sub returns the counter deltas since a prior snapshot. Counters are
+// cumulative over an engine's lifetime, so a caller that wants the work
+// of one stretch of a walk — the racing allocator's per-window
+// observations — snapshots Stats() at its start and reports
+// Stats().Sub(snapshot) at its end.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
 		Iterations:   s.Iterations - prev.Iterations,
@@ -122,18 +122,11 @@ type Engine interface {
 type Factory func(model Model, seed uint64) Engine
 
 // Restartable is implemented by engines that can be restarted from an
-// externally supplied configuration. Three layers build on the hook:
+// externally supplied configuration. Two layers build on the hook:
 //
-//   - the multi-walk scheduler (internal/walk): a cooperative run
-//     (Config.Crossroads, §VI future work) seeds restarts from shared
-//     crossroads mid-run, and a racing run (Config.Allocator) re-arms a
-//     fresh engine of the walker's new method from its current
+//   - the racing multi-walk scheduler (internal/walk, Config.Allocator)
+//     re-arms a fresh engine of the walker's new method from its current
 //     configuration when it migrates;
-//   - the batch solving layer (internal/core.SolveBatch) pools engines
-//     across solves on a hot path: instead of allocating a fresh model and
-//     engine per instance, a worker re-arms a compatible cached engine
-//     with RestartFrom(freshRandomPermutation) and attributes per-solve
-//     work via Stats().Sub;
 //   - the campaign layer (internal/campaign) checkpoints long-running
 //     walks: a Snapshot captures a walker's configuration and work count,
 //     and resume re-arms a fresh engine with RestartFrom(snapshot.Config)
@@ -147,8 +140,7 @@ type Factory func(model Model, seed uint64) Engine
 // one must clear it), and clear per-run search state (tabu marks, stall
 // counters, restart clocks) so the walk resumes as if freshly started
 // from cfg. Lifetime counters (Stats) and the iteration budget are NOT
-// reset: MaxIterations bounds the engine's total work across restarts,
-// which is why the batch layer only pools engines with unlimited budgets.
+// reset: MaxIterations bounds the engine's total work across restarts.
 type Restartable interface {
 	Engine
 	RestartFrom(cfg []int)

@@ -190,8 +190,8 @@ func (s *Solver) iterate() bool {
 
 // RestartFrom installs a copy of cfg as the solver's thesis, rebinding the
 // model and clearing the round state; the next Step descends it to a local
-// minimum exactly as the initial thesis — the hook the cooperative
-// multi-walk uses to seed restarts from shared crossroads.
+// minimum exactly as the initial thesis — the csp.Restartable hook
+// behind racing migration and campaign resume.
 func (s *Solver) RestartFrom(cfg []int) {
 	if len(cfg) != len(s.cfg) || !csp.IsPermutation(cfg) {
 		panic("dialectic: RestartFrom with invalid configuration")

@@ -144,8 +144,8 @@ func (s *Solver) iterate() bool {
 }
 
 // RestartFrom installs a copy of cfg as the climber's configuration,
-// rebinding the model and clearing the stall counter — the hook the
-// cooperative multi-walk uses to seed restarts from shared crossroads.
+// rebinding the model and clearing the stall counter — the
+// csp.Restartable hook behind racing migration and campaign resume.
 func (s *Solver) RestartFrom(cfg []int) {
 	if len(cfg) != len(s.cfg) || !csp.IsPermutation(cfg) {
 		panic("hillclimb: RestartFrom with invalid configuration")

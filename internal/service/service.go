@@ -235,18 +235,15 @@ type BatchRequest struct {
 	MasterSeed uint64 `json:"master_seed,omitempty"`
 	// Concurrency bounds in-flight jobs; 0 or anything above the server's
 	// worker count is clamped to the worker count.
-	Concurrency int `json:"concurrency,omitempty"`
-	// ReuseEngines enables the engine-pooling hot path for eligible jobs.
-	ReuseEngines bool  `json:"reuse_engines,omitempty"`
-	TimeoutMS    int64 `json:"timeout_ms,omitempty"`
-	Async        bool  `json:"async,omitempty"`
+	Concurrency int   `json:"concurrency,omitempty"`
+	TimeoutMS   int64 `json:"timeout_ms,omitempty"`
+	Async       bool  `json:"async,omitempty"`
 }
 
 // BatchJobResponse is one job's outcome.
 type BatchJobResponse struct {
 	Job    int            `json:"job"`
 	Error  string         `json:"error,omitempty"`
-	Reused bool           `json:"reused,omitempty"`
 	Result *SolveResponse `json:"result,omitempty"`
 }
 
@@ -261,7 +258,6 @@ type BatchStatsJSON struct {
 	Jobs            int     `json:"jobs"`
 	Solved          int     `json:"solved"`
 	Errors          int     `json:"errors"`
-	EnginesReused   int     `json:"engines_reused"`
 	TotalIterations int64   `json:"total_iterations"`
 	WallMS          float64 `json:"wall_ms"`
 	SolvesPerSec    float64 `json:"solves_per_sec"`
@@ -829,7 +825,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Hand the canonical spec to the batch layer (not the closure):
-		// costas jobs keep their engine-pool eligibility this way.
+		// a spec can ship to a backend, a closure cannot.
 		jobs[i] = core.BatchJob{Spec: inst.Spec.String(), Options: opts}
 		models[i] = inst.Spec.String()
 		names[i] = inst.Spec.Name
@@ -843,11 +839,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		conc = len(req.Jobs)
 	}
 	batchOpts := core.BatchOptions{
-		Concurrency:  conc,
-		MasterSeed:   req.MasterSeed,
-		Registry:     s.cfg.Registry, // specs must resolve against the catalogue that validated them
-		ReuseEngines: req.ReuseEngines,
-		Backend:      s.cfg.Backend, // coordinator mode: the whole batch shards across the fleet
+		Concurrency: conc,
+		MasterSeed:  req.MasterSeed,
+		Registry:    s.cfg.Registry, // specs must resolve against the catalogue that validated them
+		Backend:     s.cfg.Backend,  // coordinator mode: the whole batch shards across the fleet
 	}
 
 	run := func(ctx context.Context) (BatchResponse, error) {
@@ -912,14 +907,13 @@ func batchResponse(models []string, res core.BatchResult) BatchResponse {
 			Jobs:            res.Stats.Jobs,
 			Solved:          res.Stats.Solved,
 			Errors:          res.Stats.Errors,
-			EnginesReused:   res.Stats.EnginesReused,
 			TotalIterations: res.Stats.TotalIterations,
 			WallMS:          float64(res.Stats.WallTime) / float64(time.Millisecond),
 			SolvesPerSec:    res.Stats.SolvesPerSec,
 		},
 	}
 	for i, jr := range res.Jobs {
-		bjr := BatchJobResponse{Job: jr.Job, Reused: jr.Reused}
+		bjr := BatchJobResponse{Job: jr.Job}
 		if jr.Err != nil {
 			bjr.Error = jr.Err.Error()
 		}

@@ -1,10 +1,10 @@
 package service
 
 // End-to-end coverage of the HTTP solver service over httptest: solve
-// round-trips for every registered model, mixed batches on the
-// engine-pooling hot path, async job polling, request-deadline
-// cancellation mid-solve, malformed-request 400s, and concurrent-request
-// safety (this package is part of the CI -race pass).
+// round-trips for every registered model, mixed batches, async job
+// polling, request-deadline cancellation mid-solve, malformed-request
+// 400s, and concurrent-request safety (this package is part of the CI
+// -race pass).
 
 import (
 	"bytes"
@@ -126,8 +126,8 @@ func TestSolveStringSpecAndMethods(t *testing.T) {
 	}
 }
 
-// TestBatchMixedJobs: one batch mixing four models and methods, with the
-// engine pool enabled — all solve, costas repeats reuse engines.
+// TestBatchMixedJobs: one batch mixing four models and methods — all
+// solve.
 func TestBatchMixedJobs(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	req := BatchRequest{
@@ -139,9 +139,8 @@ func TestBatchMixedJobs(t *testing.T) {
 			{Model: registry.Spec{Name: "magicsquare", Params: map[string]int{"k": 4}}},
 			{Model: registry.Spec{Name: "thumbtack", Params: map[string]int{"n": 9}}},
 		},
-		MasterSeed:   5,
-		Concurrency:  1, // deterministic worker → costas jobs 2,3 reuse
-		ReuseEngines: true,
+		MasterSeed:  5,
+		Concurrency: 1,
 	}
 	var resp BatchResponse
 	if code := postJSON(t, ts.URL+"/v1/batch", req, &resp); code != http.StatusOK {
@@ -150,13 +149,29 @@ func TestBatchMixedJobs(t *testing.T) {
 	if resp.Stats.Jobs != 6 || resp.Stats.Solved != 6 || resp.Stats.Errors != 0 {
 		t.Fatalf("stats %+v", resp.Stats)
 	}
-	if resp.Stats.EnginesReused != 2 {
-		t.Fatalf("engines reused %d, want 2", resp.Stats.EnginesReused)
-	}
 	for _, jr := range resp.Jobs {
 		if jr.Error != "" || jr.Result == nil || !jr.Result.Solved {
 			t.Fatalf("job %d failed: %+v", jr.Job, jr)
 		}
+	}
+}
+
+// TestBatchRejectsReuseEngines: a batch body that asks for engine reuse
+// (reuse_engines, no longer part of the API) is a client error naming the
+// field, not a batch silently solved without it.
+func TestBatchRejectsReuseEngines(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, body := postRaw(t, ts.URL+"/v1/batch",
+		[]byte(`{"jobs": [{"model": "costas n=10"}], "reuse_engines": true}`))
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", code, body)
+	}
+	var out struct{ Error string }
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.Error, `unknown field "reuse_engines"`) {
+		t.Fatalf("error does not name the field: %q", out.Error)
 	}
 }
 

@@ -198,8 +198,8 @@ func (s *Solver) iterate() bool {
 }
 
 // RestartFrom installs a copy of cfg as the solver's configuration,
-// rebinding the model and clearing the tabu/stall state — the hook the
-// cooperative multi-walk uses to seed restarts from shared crossroads.
+// rebinding the model and clearing the tabu/stall state — the
+// csp.Restartable hook behind racing migration and campaign resume.
 func (s *Solver) RestartFrom(cfg []int) {
 	if len(cfg) != len(s.cfg) || !csp.IsPermutation(cfg) {
 		panic("tabu: RestartFrom with invalid configuration")

@@ -16,18 +16,13 @@ import (
 )
 
 // lockstepOutcome is everything a lockstep run must reproduce exactly:
-// the outcome, an FNV-64a fingerprint of every walker's csp.Stats, and
-// the cooperative communication counters (zero for other runs).
+// the outcome and an FNV-64a fingerprint of every walker's csp.Stats.
 type lockstepOutcome struct {
 	Winner           int
 	WinnerIterations int64
 	TotalIterations  int64
 	Solution         []int
 	StatsFNV         uint64
-	Offers           int64
-	Accepted         int64
-	PoolRestart      int64
-	EngineRestarts   int64
 }
 
 func statsFNV(stats []csp.Stats) uint64 {
@@ -45,10 +40,6 @@ func outcomeOf(r Result) lockstepOutcome {
 		TotalIterations:  r.TotalIterations,
 		Solution:         r.Solution,
 		StatsFNV:         statsFNV(r.Stats),
-		Offers:           r.Offers,
-		Accepted:         r.Accepted,
-		PoolRestart:      r.PoolRestart,
-		EngineRestarts:   r.EngineRestarts,
 	}
 }
 
@@ -63,11 +54,11 @@ func racingConfig(n, walkers int, seed uint64, quantum int, window int64) Config
 }
 
 // TestLockstepOutcomeGoldens pins the exact outcome of every lockstep
-// scheduling shape — independent, portfolio, virtual budgets, cooperative
-// pool restarts and racing windows, including window caps that are not a
-// multiple of the quantum and a budget that ends inside a window. The
-// expected values were recorded before the scheduler's window loop was
-// unified; any change to them is a change of trajectory.
+// scheduling shape — independent, portfolio, virtual budgets and racing
+// windows, including window caps that are not a multiple of the quantum
+// and a budget that ends inside a window. The expected values were
+// recorded before the scheduler's window loop was unified; any change to
+// them is a change of trajectory.
 func TestLockstepOutcomeGoldens(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -103,25 +94,6 @@ func TestLockstepOutcomeGoldens(t *testing.T) {
 				return Virtual(ctx, capFactory(18), capConfig(18, 4, 7), 128)
 			},
 			want: lockstepOutcome{Winner: -1, TotalIterations: 512, StatsFNV: 0x3ea7b41408d0a124},
-		},
-		{
-			name: "cooperative",
-			run: func() Result {
-				cfg := coopConfig(13, 8, 17)
-				cfg.CheckEvery = 8
-				cfg.Crossroads.RestartEvery = 4 * 8
-				return Virtual(ctx, capFactory(13), cfg, 0)
-			},
-			want: lockstepOutcome{Winner: 4, WinnerIterations: 68, TotalIterations: 570, Solution: []int{4, 3, 10, 7, 12, 1, 5, 6, 0, 2, 8, 11, 9}, StatsFNV: 0x16a2bcdc66f098b2,
-				Offers: 20, Accepted: 19, PoolRestart: 7},
-		},
-		{
-			// A budget inside a quantum ends at the round boundary past it.
-			name: "cooperative/budget-mid-quantum",
-			run: func() Result {
-				return Virtual(ctx, capFactory(18), coopConfig(18, 4, 1), 100)
-			},
-			want: lockstepOutcome{Winner: -1, TotalIterations: 512, StatsFNV: 0xddd6961e2ecb42ae, Offers: 8, Accepted: 8},
 		},
 		{
 			name: "racing/window24/quantum8",

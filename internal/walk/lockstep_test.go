@@ -95,28 +95,6 @@ func (e *countingEngine) life(quantum int, until int64) int {
 	return n
 }
 
-// roundAudit is a policy that checks, at every boundary hook, that the
-// walker has been stepped exactly once in each round so far. Hooks run in
-// walker order after each round, and the walkers stepped in a round are
-// a subset of those stepped in the round before, so a hook for a walker
-// index no higher than the previous hook's starts a new round.
-type roundAudit struct {
-	t     *testing.T
-	round int
-	last  int
-}
-
-func (a *roundAudit) boundary(i int, e csp.Engine) bool {
-	if i <= a.last {
-		a.round++
-	}
-	a.last = i
-	if got := e.(*countingEngine).steps; got != a.round {
-		a.t.Errorf("round %d: walker %d has been stepped %d times", a.round, i, got)
-	}
-	return false
-}
-
 // returnsWithin runs f and fails the test if it has not returned after d:
 // a lost wakeup at the round barrier hangs the run instead of failing it.
 func returnsWithin(t *testing.T, d time.Duration, f func()) {
@@ -136,9 +114,11 @@ func returnsWithin(t *testing.T, d time.Duration, f func()) {
 // TestLockstepStepsEveryLiveWalkerOncePerRound: however the walkers split
 // into home shards — uneven shards, more workers than walkers — every
 // live walker is stepped exactly once per round, and a solved, exhausted
-// or parked walker never is. Walkers 1 and K−1 sleep through their
-// steps, so the other workers wait past the spin bound and park at the
-// barrier.
+// or parked walker never is. Each step audits the round barrier: when a
+// walker takes its step s, every walker has finished round s−1 (or its
+// life) and none has gone past round s. Walkers 1 and K−1 sleep through
+// their steps, so the other workers wait past the spin bound and park at
+// the barrier.
 func TestLockstepStepsEveryLiveWalkerOncePerRound(t *testing.T) {
 	const quantum = 4
 	for _, shape := range []struct{ walkers, workers int }{{7, 3}, {33, 2}, {5, 16}} {
@@ -146,7 +126,7 @@ func TestLockstepStepsEveryLiveWalkerOncePerRound(t *testing.T) {
 			name := fmt.Sprintf("K=%d/W=%d/solve=%v", shape.walkers, shape.workers, solve)
 			t.Run(name, func(t *testing.T) {
 				k := shape.walkers
-				s := schedule{quantum: quantum, workers: shape.workers, policy: &roundAudit{t: t, last: math.MaxInt}}
+				s := schedule{quantum: quantum, workers: shape.workers}
 				fakes := make([]*countingEngine, k)
 				engines := make([]csp.Engine, k)
 				for i := range fakes {
@@ -181,6 +161,17 @@ func TestLockstepStepsEveryLiveWalkerOncePerRound(t *testing.T) {
 				}
 				if solve {
 					rounds = lives[k-1]
+				}
+				done := make([]atomic.Int64, k) // steps each walker has finished
+				for i, e := range fakes {
+					e.onStep = func(step int) {
+						for j := range done {
+							if got := done[j].Load(); got > int64(step) || got < int64(min(step-1, lives[j])) {
+								t.Errorf("walker %d at round %d: walker %d has finished %d steps", i, step, j, got)
+							}
+						}
+						done[i].Store(int64(step))
+					}
 				}
 
 				var winner int

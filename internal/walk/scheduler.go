@@ -7,21 +7,15 @@ package walk
 // window, uncapped unless a virtual-time budget caps it; a racing run's
 // Allocator decides each window's length and, between windows, which
 // arm every walker runs next (racing.go). Each window is one call of the
-// step loop of the execution mode:
-//
-//   - real goroutines (runReal: first CAS on a done flag wins) or
-//     lockstep virtual time (runLockstep: barrier rounds of one quantum
-//     each; the walker that solved at the lowest virtual time wins,
-//     exactly as a K-core machine would decide it);
-//
-//   - with an optional communication policy whose boundary hook runs
-//     after each walker's quantum — the cooperative crossroads pool of
-//     §VI (Config.Crossroads) plugs in here.
+// step loop of the execution mode: real goroutines (runReal: first CAS
+// on a done flag wins) or lockstep virtual time (runLockstep: barrier
+// rounds of one quantum each; the walker that solved at the lowest
+// virtual time wins, exactly as a K-core machine would decide it).
 //
 // The up-front solved check, the terminal checks after a window (winner,
 // cancellation, every walker dead, virtual budget spent), the
 // cancelled-run detection and the Result assembly (collect) exist once,
-// in drive, for independent, cooperative and racing runs alike.
+// in drive, for independent and racing runs alike.
 //
 // Cancellation is uniform: every mode honours ctx. Real-mode workers
 // probe ctx after each quantum (the paper's "non-blocking tests every c
@@ -34,12 +28,11 @@ package walk
 // Determinism: in lockstep mode each worker steps its home shard of the
 // walkers and then steals what is left of the others (each engine is
 // stepped by exactly one worker per round, and rounds are separated by a
-// barrier), while policy boundary hooks run sequentially in walker order
-// between rounds, and the window loop itself runs on one goroutine.
-// Claim order decides only which thread steps a walker, never what it
-// computes: per-walker trajectories, pool communication and racing
-// decisions are identical whatever MaxParallelism is — multi-threaded
-// lockstep runs reproduce the single-threaded ones bit for bit.
+// barrier), and the window loop itself runs on one goroutine. Claim
+// order decides only which thread steps a walker, never what it
+// computes: per-walker trajectories and racing decisions are identical
+// whatever MaxParallelism is — multi-threaded lockstep runs reproduce
+// the single-threaded ones bit for bit.
 
 import (
 	"context"
@@ -64,24 +57,10 @@ const (
 	modeLockstep
 )
 
-// policy is the communication hook of a dependent multi-walk scheme.
-// A nil policy is the independent scheme.
-type policy interface {
-	// boundary runs after walker i advanced one quantum without solving.
-	// It may communicate (e.g. offer the configuration to a shared pool)
-	// and may restart the engine through csp.Restartable; it reports
-	// whether the walker is solved afterwards (a restart can land on a
-	// solution). In lockstep mode boundary calls are serialised in walker
-	// order; in real mode they run concurrently (one call per walker at a
-	// time) and must synchronise any shared state themselves.
-	boundary(i int, e csp.Engine) bool
-}
-
 // schedule is one window's parameters for runReal/runLockstep.
 type schedule struct {
 	quantum int // iterations per probe / lockstep round
 	workers int // worker goroutines (≤ number of engines)
-	policy  policy
 	// until, when positive, ends the window at that virtual time: a
 	// walker's steps are clamped to the remainder, it parks there, and a
 	// fully parked field ends the window with no winner. 0 is uncapped.
@@ -124,9 +103,6 @@ func drive(ctx context.Context, newModel func() csp.Model, cfg Config, mode runM
 	cfg = cfg.withDefaults()
 	var rc *racer
 	if cfg.Allocator != nil {
-		if cfg.Crossroads != nil {
-			panic("walk: Config.Crossroads and Config.Allocator cannot be combined (a racing run has no crossroads pool)")
-		}
 		rc = newRacer(cfg)
 	}
 	seeds := rng.NewChaoticSeeder(cfg.MasterSeed).Seeds(cfg.Walkers)
@@ -139,11 +115,6 @@ func drive(ctx context.Context, newModel func() csp.Model, cfg Config, mode runM
 		engines[i] = factory(newModel(), seeds[i])
 	}
 	s := schedule{quantum: cfg.CheckEvery, workers: min(cfg.MaxParallelism, cfg.Walkers)}
-	var pol *coopPolicy
-	if cfg.Crossroads != nil {
-		pol = newCoopPolicy(cfg.Crossroads.withDefaults(len(engines[0].Solution())), cfg.CheckEvery, seeds)
-		s.policy = pol
-	}
 	if budget > 0 && rc == nil {
 		// Without racing windows a budget ends at a lockstep round
 		// boundary: the first multiple of the quantum at or past it.
@@ -186,11 +157,7 @@ func drive(ctx context.Context, newModel func() csp.Model, cfg Config, mode runM
 		winner = lockstepWinner(engines, s)
 	}
 
-	res := collect(ctx, engines, s.carry, winner, start)
-	if pol != nil {
-		pol.count(&res)
-	}
-	return res
+	return collect(ctx, engines, s.carry, winner, start)
 }
 
 // allExhausted reports whether every walker hit its iteration budget.
@@ -271,10 +238,6 @@ func runReal(ctx context.Context, engines []csp.Engine, s schedule) int {
 						claim(i)
 						return
 					}
-					if s.policy != nil && s.policy.boundary(i, e) {
-						claim(i)
-						return
-					}
 					if done.Load() || ctx.Err() != nil {
 						return
 					}
@@ -290,8 +253,8 @@ func runReal(ctx context.Context, engines []csp.Engine, s schedule) int {
 }
 
 // runLockstep executes the schedule in barrier-synchronised virtual time.
-// Each round advances every live walker one quantum, then runs the policy
-// boundary hooks sequentially in walker order — so lockstep runs are
+// Each round advances every live walker one quantum, and the next round
+// starts only once the whole round is done — so lockstep runs are
 // deterministic for any worker count.
 //
 // Worker w owns the home shard [w·K/W, (w+1)·K/W) of the K walkers. In a
@@ -305,14 +268,8 @@ func runReal(ctx context.Context, engines []csp.Engine, s schedule) int {
 // worker that keeps running keeps its OS thread.
 func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 	var anySolved atomic.Bool
-	// stepped[i] marks walkers that advanced this round without solving —
-	// the ones whose quantum boundary the policy sees. Each index is
-	// written only by the worker that claimed walker i this round and
-	// read after the barrier.
-	stepped := make([]bool, len(engines))
 	advance := func(i int) {
 		e := engines[i]
-		stepped[i] = false
 		if e.Solved() || e.Exhausted() {
 			return
 		}
@@ -322,8 +279,6 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 		}
 		if e.Step(step) {
 			anySolved.Store(true)
-		} else {
-			stepped[i] = true
 		}
 	}
 
@@ -383,7 +338,7 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 			return -1
 		}
 
-		// Parallel phase: one quantum for every live walker.
+		// One quantum for every live walker.
 		for w := range cursors {
 			cursors[w].next.Store(shardStart(w))
 		}
@@ -394,15 +349,6 @@ func runLockstep(ctx context.Context, engines []csp.Engine, s schedule) int {
 		}
 		stepRound(0)
 		parkers[0].wait(&pending, 0)
-
-		// Sequential phase: boundary hooks in walker order.
-		if s.policy != nil {
-			for i, e := range engines {
-				if stepped[i] && s.policy.boundary(i, e) {
-					anySolved.Store(true)
-				}
-			}
-		}
 
 		if anySolved.Load() {
 			return lockstepWinner(engines, s)
@@ -433,11 +379,11 @@ type cursor struct {
 // parks. At the paper's orders one walker quantum takes tens of
 // microseconds (CAP n = 16, quantum 16: about 40 µs), and a round of
 // near-equal walkers ends within about one quantum on every worker, so
-// the bound covers the usual wait at the barrier and the loop's
-// sequential phase between rounds: workers keep running, and keep their
-// OS thread, from round to round. A wait longer than that is an uneven
-// round or an oversubscribed machine, where a parked waiter frees its
-// thread for the work it is waiting on. See DESIGN.md §4.
+// the bound covers the usual wait at the barrier and the loop's checks
+// between rounds: workers keep running, and keep their OS thread, from
+// round to round. A wait longer than that is an uneven round or an
+// oversubscribed machine, where a parked waiter frees its thread for the
+// work it is waiting on. See DESIGN.md §4.
 const spinFor = 50 * time.Microsecond
 
 // parker lets one goroutine wait for an atomic counter to reach a value

@@ -28,11 +28,9 @@
 //     simulation costs roughly one sequential solve in total work: the
 //     winner's iteration count shrinks like 1/K while K walkers advance.
 //
-// Two optional policies ride on either mode: Config.Crossroads makes the
-// walkers share a crossroads pool — the dependent scheme the paper's §VI
-// sketches (cooperative.go) — and Config.Allocator turns the run into a
-// racing portfolio that reassigns walkers across methods at window
-// boundaries (racing.go).
+// One optional policy rides on either mode: Config.Allocator turns the
+// run into a racing portfolio that reassigns walkers across methods at
+// window boundaries (racing.go).
 //
 // Every run honours context cancellation and deadlines: a cancelled run
 // stops promptly (within one probe quantum per walker in real mode, one
@@ -50,8 +48,8 @@ import (
 )
 
 // DefaultCheckEvery is the probe period c (and lockstep quantum) used
-// when Config.CheckEvery is unset. Layers that step engines themselves
-// (campaign epochs, core's single-engine jobs) probe at the same period.
+// when Config.CheckEvery is unset. Campaign epochs, which step engines
+// themselves, probe at the same period.
 const DefaultCheckEvery = 64
 
 // Config describes a multi-walk run.
@@ -92,14 +90,8 @@ type Config struct {
 	// the windowed per-walker stats it observes (internal/race provides
 	// the policy). Reassigned walkers keep their configuration — the new
 	// arm's engine is re-armed via csp.Restartable.RestartFrom — and
-	// their accumulated virtual time. Requires a non-empty Portfolio and
-	// cannot be combined with Crossroads.
+	// their accumulated virtual time. Requires a non-empty Portfolio.
 	Allocator Allocator
-
-	// Crossroads, when non-nil, makes the walkers cooperate through a
-	// shared crossroads pool (the dependent scheme of §VI, see
-	// cooperative.go); nil is the independent scheme.
-	Crossroads *Crossroads
 }
 
 func (c Config) withDefaults() Config {
@@ -157,18 +149,6 @@ type Result struct {
 
 	// Stats holds each walker's final counters.
 	Stats []csp.Stats
-
-	// Crossroads communication counters, zero unless Config.Crossroads
-	// is set: configurations actually offered to the pool, offers
-	// retained, and restarts seeded from the pool.
-	Offers, Accepted, PoolRestart int64
-
-	// EngineRestarts counts restarts the engines of a Crossroads run
-	// performed on their own, outside the scheduler (Σ engine Restarts −
-	// scheduler-issued). A non-zero value means a factory left an internal
-	// restart policy enabled, competing with the scheduler's pool seeding
-	// — the knob callers should watch when wiring a new factory.
-	EngineRestarts int64
 }
 
 // Parallel runs K walkers concurrently on real goroutines and returns as

@@ -344,9 +344,9 @@ func (r rotating) Assign(w int) []int {
 
 // TestVirtualDeterministicAcrossWorkerCounts: the lockstep scheduler hands
 // each walker's quantum to whichever worker claims it, but keeps the round
-// barrier and runs boundary hooks in walker order, so the whole outcome —
-// winner, makespan, solution and every walker's counters — must not depend
-// on MaxParallelism, for independent, cooperative and racing (window-capped)
+// barrier and decides racing migrations on one goroutine, so the whole
+// outcome — winner, makespan, solution and every walker's counters — must
+// not depend on MaxParallelism, for independent and racing (window-capped)
 // runs alike.
 func TestVirtualDeterministicAcrossWorkerCounts(t *testing.T) {
 	// A short quantum makes every run span many rounds.
@@ -355,12 +355,6 @@ func TestVirtualDeterministicAcrossWorkerCounts(t *testing.T) {
 		"independent": func(workers int) Result {
 			cfg := capConfig(n, 16, 77)
 			cfg.MaxParallelism, cfg.CheckEvery = workers, quantum
-			return Virtual(context.Background(), capFactory(n), cfg, 0)
-		},
-		"cooperative": func(workers int) Result {
-			cfg := coopConfig(n, 8, 17)
-			cfg.MaxParallelism, cfg.CheckEvery = workers, quantum
-			cfg.Crossroads.RestartEvery = 4 * quantum // pool restarts in most rounds
 			return Virtual(context.Background(), capFactory(n), cfg, 0)
 		},
 		"racing": func(workers int) Result {
