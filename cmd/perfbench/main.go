@@ -441,7 +441,7 @@ func mergeBaseline(results []Result, baseline *File) {
 
 func main() {
 	var (
-		smoke      = flag.Bool("smoke", false, "CI mode: short runs + fail on steady-state allocs/op > 0, a >maxregress slowdown vs baseline, or a serving hit gain below -minhitgain; writes no file unless -out is given")
+		smoke      = flag.Bool("smoke", false, "CI mode: short runs + fail on steady-state allocs/op > 0, a >maxregress slowdown vs baseline, a racing row whose iters/op differs from the baseline, or a serving hit gain below -minhitgain; writes no file unless -out is given")
 		maxregress = flag.Float64("maxregress", 0.10, "with -smoke: allowed fractional steady-state slowdown vs the baseline file (0.10 = 10%)")
 		benchtime  = flag.String("benchtime", "", `testing benchtime (default "2s", or "0.3s" with -smoke)`)
 		kernel     = flag.Bool("kernel", false, "run only the kernel/engine/table/pool suite")
@@ -639,8 +639,9 @@ func main() {
 	}
 	// The racing gate compares fixed-seed lockstep iteration counts —
 	// bit-reproducible on any machine, so it needs no slack for CI runner
-	// speed, only the -maxregress allowance vs the best static arm.
-	if *smoke && doRacing && gateRacing(results, *maxregress) {
+	// speed: each row must equal its baseline exactly, and -maxregress is
+	// only the policy allowance vs the best static arm.
+	if *smoke && doRacing && gateRacing(results, base, *maxregress) {
 		failed = true
 	}
 	if failed {

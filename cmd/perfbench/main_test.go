@@ -84,3 +84,30 @@ func TestMergeBaseline(t *testing.T) {
 		t.Errorf("b: unexpected baseline fields %+v", results[1])
 	}
 }
+
+// TestGateRacingPinsBaselineRows checks that the racing gate fails on a
+// racing row whose iters/op differs from the baseline, even when the
+// policy bounds hold, and ignores rows the baseline does not record.
+func TestGateRacingPinsBaselineRows(t *testing.T) {
+	var results []Result
+	for _, cell := range racingCells {
+		for _, kind := range []string{"_best_static", "_rr", "_racing"} {
+			results = append(results, Result{Name: "racing/" + cell.label + kind, ItersOp: 100})
+		}
+	}
+	base := &File{Benchmarks: append([]Result(nil), results...)}
+	if gateRacing(results, base, 0.5) {
+		t.Fatal("gate failed on rows equal to the baseline")
+	}
+	if gateRacing(results, nil, 0.5) {
+		t.Fatal("gate failed without a baseline")
+	}
+	base.Benchmarks = base.Benchmarks[1:]
+	if gateRacing(results, base, 0.5) {
+		t.Fatal("gate failed on a row the baseline does not record")
+	}
+	base.Benchmarks[0].ItersOp = 100.2
+	if !gateRacing(results, base, 0.5) {
+		t.Fatalf("gate passed a racing row that differs from the baseline (%s)", base.Benchmarks[0].Name)
+	}
+}

@@ -129,16 +129,31 @@ func runRacingSuite() ([]Result, error) {
 	return out, nil
 }
 
-// gateRacing applies the -smoke gates to racing/* rows: on every cell
-// racing's mean makespan must stay within maxregress of the best static
-// arm's, and on the headline cell it must beat the round-robin
-// portfolio outright. Returns true when a gate failed.
-func gateRacing(results []Result, maxregress float64) bool {
+// gateRacing applies the -smoke gates to racing/* rows: every measured
+// row's iters/op must equal the same row in the baseline file (fixed-seed
+// lockstep makespans are bit-reproducible, so any difference is a change
+// of racing's trajectories, not noise; rows the baseline lacks are not
+// compared), on every cell racing's mean makespan must stay within
+// maxregress of the best static arm's, and on the headline cell it must
+// beat the round-robin portfolio outright. base may be nil. Returns true
+// when a gate failed.
+func gateRacing(results []Result, base *File, maxregress float64) bool {
 	iters := map[string]float64{}
 	for _, r := range results {
 		iters[r.Name] = r.ItersOp
 	}
 	failed := false
+	if base != nil {
+		for _, b := range base.Benchmarks {
+			got, ok := iters[b.Name]
+			if ok && suiteOf(b.Name) == "racing" && got != b.ItersOp {
+				fmt.Fprintf(os.Stderr,
+					"perfbench: FAIL: %s needs %.1f iters/op vs the baseline's %.1f — fixed-seed racing trajectories changed\n",
+					b.Name, got, b.ItersOp)
+				failed = true
+			}
+		}
+	}
 	for _, cell := range racingCells {
 		race := iters["racing/"+cell.label+"_racing"]
 		static := iters["racing/"+cell.label+"_best_static"]

@@ -311,14 +311,7 @@ func buildPlan(opts Options, adaptiveDefaults adaptive.Params) (runPlan, error) 
 			plan.methods = append(plan.methods, canonical)
 		}
 		if method == MethodRacing {
-			walkers := opts.Walkers
-			if walkers < 1 {
-				walkers = 1
-			}
-			plan.ctrl = race.NewController(plan.methods, race.Config{
-				Walkers: walkers,
-				Seed:    seed,
-			})
+			plan.ctrl = race.NewController(plan.methods, opts.Walkers)
 			plan.cfg.Allocator = plan.ctrl
 		}
 		return plan, nil

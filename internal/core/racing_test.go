@@ -60,3 +60,26 @@ func TestSolveSpecRacingRejectsBadPortfolio(t *testing.T) {
 		t.Fatal("racing with an unknown arm method was accepted")
 	}
 }
+
+// TestRacingEqualsPortfolioOnTwoArmCAP pins what racing does on the
+// paper's problem with two arms: on costas n=15 at 16 walkers no arm
+// leads decisively for long enough, no walker migrates, and the racing
+// run is the round-robin portfolio run — the whole Result, not just the
+// makespan.
+func TestRacingEqualsPortfolioOnTwoArmCAP(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		opts := Options{Walkers: 16, Virtual: true, Seed: seed}
+		racing, err := SolveSpec(context.Background(), "costas n=15 method=racing portfolio=adaptive,tabu", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		static, err := SolveSpec(context.Background(), "costas n=15 method=portfolio portfolio=adaptive,tabu", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		racing.WallTime, static.WallTime = 0, 0
+		if !reflect.DeepEqual(racing, static) {
+			t.Fatalf("seed %d: racing differs from the round-robin portfolio:\n racing: %+v\n static: %+v", seed, racing, static)
+		}
+	}
+}

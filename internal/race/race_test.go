@@ -46,22 +46,21 @@ func constCosts(assign []int, costs ...int) []int {
 }
 
 func TestInitialSplitAlignedToPortfolio(t *testing.T) {
-	c := NewController([]string{"a", "b"}, Config{Walkers: 8})
+	c := NewController([]string{"a", "b"}, 8)
 	if got, want := c.Assign(0), []int{0, 1, 0, 1, 0, 1, 0, 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("2-arm initial split = %v, want portfolio layout %v", got, want)
 	}
-	c3 := NewController([]string{"a", "b", "c"}, Config{Walkers: 8})
+	c3 := NewController([]string{"a", "b", "c"}, 8)
 	if got, want := c3.Assign(0), []int{0, 1, 2, 0, 1, 2, 0, 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("3-arm initial split = %v, want portfolio layout %v", got, want)
 	}
 }
 
 func TestDeadbandStandsPat(t *testing.T) {
-	c := NewController([]string{"a", "b"}, Config{Walkers: 8})
+	c := NewController([]string{"a", "b"}, 8)
 	assign := c.Assign(0)
-	// Arm b consistently worse but within the deadband, and BOTH arms keep
-	// finding new best costs (so the stagnation penalty never applies):
-	// the controller must never move a walker.
+	// Arm b consistently worse but within the deadband (40−w < 1.5 ×
+	// (30−w) at every window w): the controller must never move a walker.
 	for w := 0; w < 8; w++ {
 		c.Observe(w, obsFor(assign, constCosts(assign, 30-w, 40-w), 256))
 		next := c.Assign(w + 1)
@@ -72,7 +71,7 @@ func TestDeadbandStandsPat(t *testing.T) {
 }
 
 func TestConfirmationStreakDelaysMigration(t *testing.T) {
-	c := NewController([]string{"a", "b"}, Config{Walkers: 8})
+	c := NewController([]string{"a", "b"}, 8)
 	assign := c.Assign(0)
 
 	// Window 0: decisive gap (100 ≥ 10 × 1.5) — but only one window of
@@ -96,7 +95,7 @@ func TestConfirmationStreakDelaysMigration(t *testing.T) {
 }
 
 func TestConfirmationStreakResetsOnLeaderFlip(t *testing.T) {
-	c := NewController([]string{"a", "b"}, Config{Walkers: 8})
+	c := NewController([]string{"a", "b"}, 8)
 	assign := c.Assign(0)
 	// Alternate which arm looks decisively better: the leader never
 	// repeats, so the streak never reaches confirmStreak and nothing
@@ -115,10 +114,10 @@ func TestConfirmationStreakResetsOnLeaderFlip(t *testing.T) {
 }
 
 func TestMigrationCapPerBoundary(t *testing.T) {
-	c := NewController([]string{"a", "b"}, Config{Walkers: 16})
+	c := NewController([]string{"a", "b"}, 16)
 	assign := c.Assign(0)
-	// Sustained massive gap: the softmax wants nearly the whole fleet on
-	// arm a, but each boundary may move at most 16/4 = 4 walkers.
+	// Sustained massive gap: winner-take-all wants the whole fleet on arm
+	// a, but each boundary may move at most 16/4 = 4 walkers.
 	prev := assign
 	for w := 0; w < 6; w++ {
 		c.Observe(w, obsFor(prev, constCosts(prev, 2, 200), 256))
@@ -136,45 +135,6 @@ func TestMigrationCapPerBoundary(t *testing.T) {
 	}
 }
 
-func TestStagnationPenalisesOnlyTrailingArm(t *testing.T) {
-	c := NewController([]string{"a", "b"}, Config{Walkers: 8})
-	assign := c.Assign(0)
-	// Arm a parks at cost 5 (the trajectory frontier), arm b parks at 7 —
-	// more than one unit behind. Raw costs are inside the deadband
-	// (7 < 5 × 1.5), so only the stagnation penalty can separate them.
-	for w := 0; w < 6; w++ {
-		c.Observe(w, obsFor(assign, constCosts(assign, 5, 7), 256))
-		assign = c.Assign(w + 1)
-	}
-	scores := c.Scores()
-	if scores["a"] != 5 {
-		t.Fatalf("frontier arm must never be stagnation-penalised: score a = %v", scores["a"])
-	}
-	if scores["b"] <= 7 {
-		t.Fatalf("trailing parked arm must be inflated past its EMA: score b = %v", scores["b"])
-	}
-	if n := counts(assign, 2); n[0] <= n[1] {
-		t.Fatalf("fleet did not shift off the stagnant laggard: counts %v", n)
-	}
-}
-
-func TestAdjacentCostLevelIsNotStagnant(t *testing.T) {
-	c := NewController([]string{"a", "b"}, Config{Walkers: 8})
-	assign := c.Assign(0)
-	// Arm b parks ONE unit above the frontier: adjacent cost levels are
-	// plateau noise, not evidence — no penalty, no migration, ever.
-	for w := 0; w < 12; w++ {
-		c.Observe(w, obsFor(assign, constCosts(assign, 5, 6), 256))
-		next := c.Assign(w + 1)
-		if !reflect.DeepEqual(next, assign) {
-			t.Fatalf("window %d: migrated off an arm one cost level behind", w)
-		}
-	}
-	if s := c.Scores(); s["b"] != 6 {
-		t.Fatalf("adjacent arm was penalised: score b = %v", s["b"])
-	}
-}
-
 func TestControllerIsDeterministic(t *testing.T) {
 	feed := func(c *Controller) [][]int {
 		assign := c.Assign(0)
@@ -189,47 +149,24 @@ func TestControllerIsDeterministic(t *testing.T) {
 		}
 		return c.Schedule()
 	}
-	c1 := NewController([]string{"a", "b", "c"}, Config{Walkers: 10, Seed: 42})
-	c2 := NewController([]string{"a", "b", "c"}, Config{Walkers: 10, Seed: 42})
+	c1 := NewController([]string{"a", "b", "c"}, 10)
+	c2 := NewController([]string{"a", "b", "c"}, 10)
 	if !reflect.DeepEqual(feed(c1), feed(c2)) {
 		t.Fatal("identical observation sequences produced different schedules")
 	}
 }
 
-func TestHalvingDefundsWorstArms(t *testing.T) {
-	c := NewController([]string{"a", "b", "c", "d"}, Config{Walkers: 8})
-	assign := c.Assign(0)
-	// Arms c and d are decisively terrible; a leads. After the
-	// confirmation streak the halving phase must start moving walkers off
-	// the losing half (cap walkers/4 = 2 per boundary).
-	prev := assign
-	for w := 0; w < 6; w++ {
-		c.Observe(w, obsFor(prev, constCosts(prev, 10, 12, 80, 90), 256))
-		prev = c.Assign(w + 1)
-	}
-	n := counts(prev, 4)
-	if n[2]+n[3] >= 4 {
-		t.Fatalf("halving left the losing arms funded: counts %v", n)
-	}
-	if n[0] < n[2] || n[0] < n[3] {
-		t.Fatalf("best arm not favoured after halving: counts %v", n)
-	}
-}
-
-func TestWindowDefaultAndOverride(t *testing.T) {
-	if w := NewController([]string{"a"}, Config{Walkers: 1}).Window(0); w != DefaultWindow {
-		t.Fatalf("zero config window = %d, want DefaultWindow %d", w, DefaultWindow)
-	}
-	c := NewController([]string{"a"}, Config{Walkers: 1, Window: 64})
+func TestWindowIsDefault(t *testing.T) {
+	c := NewController([]string{"a"}, 1)
 	for _, w := range []int{0, 1, 7} {
-		if got := c.Window(w); got != 64 {
-			t.Fatalf("Window(%d) = %d, want the configured 64", w, got)
+		if got := c.Window(w); got != DefaultWindow {
+			t.Fatalf("Window(%d) = %d, want DefaultWindow %d", w, got, DefaultWindow)
 		}
 	}
 }
 
 func TestArmStatsAccumulateDeltas(t *testing.T) {
-	c := NewController([]string{"a", "b"}, Config{Walkers: 4})
+	c := NewController([]string{"a", "b"}, 4)
 	assign := c.Assign(0)
 	c.Observe(0, obsFor(assign, constCosts(assign, 3, 4), 128))
 	c.Observe(1, obsFor(assign, constCosts(assign, 3, 4), 128))
@@ -239,23 +176,46 @@ func TestArmStatsAccumulateDeltas(t *testing.T) {
 	}
 }
 
-func TestExpNegDeterministicApproximation(t *testing.T) {
-	if expNeg(0) != 1 {
-		t.Fatalf("expNeg(0) = %v, want 1", expNeg(0))
-	}
-	if expNeg(40) != 0 {
-		t.Fatalf("expNeg(40) = %v, want hard 0 past the cut-off", expNeg(40))
-	}
-	// Monotone decreasing and close to e^-z on the range the softmax uses.
-	last := 1.0
-	for _, z := range []float64{0.1, 0.5, 1, 2, 4, 8, 16, 31} {
-		v := expNeg(z)
-		if v <= 0 || v >= last {
-			t.Fatalf("expNeg not strictly decreasing at z=%v: %v (prev %v)", z, v, last)
+func TestLeaderAbsorbsFleetDownToFloor(t *testing.T) {
+	c := NewController([]string{"a", "b", "c", "d"}, 8)
+	prev := c.Assign(0)
+	// Arm a leads decisively and keeps leading: once the streak confirms
+	// it, the leader takes the fleet down to the exploration floor (one
+	// walker per other arm, since 8 ≥ 2 × 4), at most 8/4 = 2 walkers
+	// per boundary.
+	for w := 0; w < 8; w++ {
+		c.Observe(w, obsFor(prev, constCosts(prev, 10, 30, 40, 50), 256))
+		next := c.Assign(w + 1)
+		if m := moved(prev, next); m > 2 {
+			t.Fatalf("window %d moved %d walkers, cap is 2", w, m)
 		}
-		last = v
+		prev = next
 	}
-	if v := expNeg(1); v < 0.3678 || v > 0.3679 {
-		t.Fatalf("expNeg(1) = %v, want ≈ 1/e", v)
+	if n, want := counts(prev, 4), []int{5, 1, 1, 1}; !reflect.DeepEqual(n, want) {
+		t.Fatalf("counts %v, want the leader holding all but one walker per other arm %v", n, want)
+	}
+}
+
+func TestFleetSmallerThanArmCount(t *testing.T) {
+	c := NewController([]string{"a", "b", "c", "d"}, 2)
+	ran := make([]bool, 4)
+	assign := c.Assign(0)
+	for w := 0; w < 8; w++ {
+		if len(assign) != 2 {
+			t.Fatalf("window %d: assignment %v for 2 walkers", w, assign)
+		}
+		for _, a := range assign {
+			if a < 0 || a >= 4 {
+				t.Fatalf("window %d: arm index %d out of range in %v", w, a, assign)
+			}
+			ran[a] = true
+		}
+		c.Observe(w, obsFor(assign, constCosts(assign, 10, 20, 30, 40), 256))
+		assign = c.Assign(w + 1)
+	}
+	for a, ok := range ran {
+		if !ok {
+			t.Fatalf("arm %d never ran a window with 2 walkers over 4 arms", a)
+		}
 	}
 }

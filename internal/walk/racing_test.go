@@ -37,6 +37,15 @@ func (s *summing) Observe(w int, obs []walk.WalkerObs) {
 	s.Allocator.Observe(w, obs)
 }
 
+// windowed wraps an Allocator and overrides its reallocation cadence, so
+// small instances span several racing windows.
+type windowed struct {
+	walk.Allocator
+	window int64
+}
+
+func (w windowed) Window(int) int64 { return w.window }
+
 // churn is a deterministic allocator that rotates every walker across
 // the arms each window — the worst case for the migration/carry
 // accounting (every boundary restarts every walker that can restart).
@@ -133,8 +142,8 @@ func TestRacingWindowDeltasSumToEngineTotals(t *testing.T) {
 func TestRacingControllerDeltasSumToEngineTotals(t *testing.T) {
 	for model, inst := range conformanceInstances(t) {
 		t.Run(model, func(t *testing.T) {
-			ctrl := race.NewController([]string{"adaptive", "tabu"}, race.Config{Walkers: 6, Window: 32})
-			alloc := &summing{Allocator: ctrl}
+			ctrl := race.NewController([]string{"adaptive", "tabu"}, 6)
+			alloc := &summing{Allocator: windowed{ctrl, 32}}
 			res := walk.Virtual(context.Background(), inst.NewModel, walk.Config{
 				Walkers:    6,
 				MasterSeed: 11,
@@ -174,13 +183,13 @@ type racingRun struct {
 }
 
 func runRacingAt(inst registry.Instance, maxPar int, window int64) racingRun {
-	ctrl := race.NewController([]string{"adaptive", "tabu"}, race.Config{Walkers: 8, Seed: 3, Window: window})
+	ctrl := race.NewController([]string{"adaptive", "tabu"}, 8)
 	res := walk.Virtual(context.Background(), inst.NewModel, walk.Config{
 		Walkers:        8,
 		MasterSeed:     3,
 		MaxParallelism: maxPar,
 		Portfolio:      []csp.Factory{adaptive.Factory(adaptive.Params{}), tabu.Factory(tabu.Params{})},
-		Allocator:      ctrl,
+		Allocator:      windowed{ctrl, window},
 	}, 1<<16)
 	return racingRun{
 		Solved:   res.Solved,
