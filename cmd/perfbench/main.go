@@ -48,7 +48,6 @@ import (
 	"repro/internal/hillclimb"
 	"repro/internal/rng"
 	"repro/internal/tabu"
-	"repro/internal/walk"
 
 	"context"
 )
@@ -75,12 +74,6 @@ type Result struct {
 	Speedup      float64 `json:"speedup,omitempty"`
 	// SteadyState marks benchmarks gated to 0 allocs/op in -smoke mode.
 	SteadyState bool `json:"steady_state,omitempty"`
-	// P99NsOp and QPS extend "serving/..." rows, where one op is one HTTP
-	// request through a loopback solverd: NsOp is the p50 request
-	// latency, P99NsOp the 99th percentile, QPS the sustained closed-loop
-	// throughput.
-	P99NsOp float64 `json:"p99_ns_op,omitempty"`
-	QPS     float64 `json:"qps,omitempty"`
 }
 
 // File is the top-level BENCH_costas.json document. CPUModel, GOMAXPROCS
@@ -337,29 +330,6 @@ func runAll(benchtime string) ([]Result, error) {
 		add("table1/sequential_n13", false, float64(iters)/float64(ops), r)
 	}
 
-	// table3/multiwalk_virtual32_n13 — Table III's unit: one 32-core
-	// virtual multi-walk solve on the lockstep cluster.
-	{
-		factory := func() csp.Model { return costas.New(13, costas.Options{}) }
-		var iters, ops int64
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for k := 0; k < b.N; k++ {
-				res := walk.Virtual(context.Background(), factory, walk.Config{
-					Walkers:    32,
-					Factory:    adaptive.Factory(costas.TunedParams(13)),
-					MasterSeed: uint64(k)*7919 + 1,
-				}, 0)
-				if !res.Solved {
-					b.Fatal("unsolved")
-				}
-				iters += res.WinnerIterations
-				ops++
-			}
-		})
-		add("table3/multiwalk_virtual32_n13", false, float64(iters)/float64(ops), r)
-	}
-
 	// pool/batch8_n10_direct vs pool/batch8_n10_sharded2 — the
 	// distribution layer's dispatch overhead: the same 8-job CAP batch
 	// through core.SolveBatch directly and through a backend.Pool over
@@ -406,8 +376,6 @@ func runAll(benchtime string) ([]Result, error) {
 // carry-over of skipped suites.
 func suiteOf(name string) string {
 	switch {
-	case strings.HasPrefix(name, "serving/"):
-		return "serving"
 	case strings.HasPrefix(name, "racing/"):
 		return "racing"
 	default:
@@ -441,23 +409,19 @@ func mergeBaseline(results []Result, baseline *File) {
 
 func main() {
 	var (
-		smoke      = flag.Bool("smoke", false, "CI mode: short runs + fail on steady-state allocs/op > 0, a >maxregress slowdown vs baseline, a racing row whose iters/op differs from the baseline, or a serving hit gain below -minhitgain; writes no file unless -out is given")
+		smoke      = flag.Bool("smoke", false, "CI mode: short runs + fail on steady-state allocs/op > 0, a >maxregress slowdown vs baseline, or a racing row whose iters/op differs from the baseline; writes no file unless -out is given")
 		maxregress = flag.Float64("maxregress", 0.10, "with -smoke: allowed fractional steady-state slowdown vs the baseline file (0.10 = 10%)")
 		benchtime  = flag.String("benchtime", "", `testing benchtime (default "2s", or "0.3s" with -smoke)`)
 		kernel     = flag.Bool("kernel", false, "run only the kernel/engine/table/pool suite")
-		serving    = flag.Bool("serving", false, "run only the serving (HTTP fast path) suite")
 		racing     = flag.Bool("racing", false, "run only the racing-portfolio suite (time-to-first-solution, racing vs static arms)")
 		rebaseline = flag.Bool("rebaseline", false, "reset every recorded row's baseline to THIS run (baseline_ns_op = ns_op, speedup = 1); refused with -smoke")
-		servtime   = flag.Duration("servingtime", 0, `per-row serving load window (default 3s, or 500ms with -smoke)`)
-		clients    = flag.Int("clients", 0, "serving suite closed-loop clients (default GOMAXPROCS)")
-		minhitgain = flag.Float64("minhitgain", 2.0, "with -smoke: required ratio of solve-path p50 to cached-hit p50 (machine-independent serving gate)")
 		out        = flag.String("out", "BENCH_costas.json", "output file (\"-\" for stdout)")
 		baseline   = flag.String("baseline", "BENCH_costas.json", "recorded baseline to compare against (skipped if missing)")
 	)
 	flag.Parse()
 	// No suite flag = the full recording run does all suites.
-	all := !*kernel && !*serving && !*racing
-	doKernel, doServing, doRacing := *kernel || all, *serving || all, *racing || all
+	all := !*kernel && !*racing
+	doKernel, doRacing := *kernel || all, *racing || all
 	if *rebaseline && *smoke {
 		// Smoke numbers come from short runs; recording them as the
 		// baseline would poison every later -maxregress comparison.
@@ -505,26 +469,6 @@ func main() {
 		}
 		results = append(results, r...)
 	}
-	if doServing {
-		dur := *servtime
-		if dur <= 0 {
-			if *smoke {
-				dur = 500 * time.Millisecond
-			} else {
-				dur = 3 * time.Second
-			}
-		}
-		nclients := *clients
-		if nclients <= 0 {
-			nclients = runtime.GOMAXPROCS(0)
-		}
-		r, err := runServing(dur, nclients)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(2)
-		}
-		results = append(results, r...)
-	}
 	if doRacing {
 		r, err := runRacingSuite()
 		if err != nil {
@@ -542,7 +486,7 @@ func main() {
 	if base != nil {
 		mergeBaseline(results, base)
 		fileRows = carryOver(results, base, map[string]bool{
-			"kernel": doKernel, "serving": doServing, "racing": doRacing,
+			"kernel": doKernel, "racing": doRacing,
 		})
 	}
 	if *rebaseline {
@@ -595,9 +539,6 @@ func main() {
 		if r.ItersOp > 0 {
 			line += fmt.Sprintf(" (%.0f iters/op)", r.ItersOp)
 		}
-		if r.QPS > 0 {
-			line += fmt.Sprintf(" (p99 %.0f ns, %.0f req/s)", r.P99NsOp, r.QPS)
-		}
 		if r.Speedup > 0 {
 			line += fmt.Sprintf("  %.2fx vs baseline", r.Speedup)
 		}
@@ -611,30 +552,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "perfbench: FAIL: %s regressed to %.0f ns/op (%.2fx of the %.0f ns/op baseline, tolerance %.0f%%)\n",
 				r.Name, r.NsOp, r.Speedup, r.BaselineNsOp, 100**maxregress)
 			failed = true
-		}
-	}
-	// The serving gate is a ratio, not an absolute: shared CI runners
-	// vary wildly in wall-clock speed, but the cached-replay path must
-	// always beat the solve path by a wide machine-independent margin.
-	if *smoke && doServing {
-		var hit0, hit100 float64
-		for _, r := range results {
-			switch r.Name {
-			case servingHit0:
-				hit0 = r.NsOp
-			case servingHit100:
-				hit100 = r.NsOp
-			}
-		}
-		if hit0 <= 0 || hit100 <= 0 {
-			fmt.Fprintln(os.Stderr, "perfbench: FAIL: serving gate rows missing")
-			failed = true
-		} else if gain := hit0 / hit100; gain < *minhitgain {
-			fmt.Fprintf(os.Stderr, "perfbench: FAIL: cached-hit p50 is only %.1fx faster than the solve path (want ≥ %.1fx): hit0 p50 %.0f ns vs hit100 p50 %.0f ns\n",
-				gain, *minhitgain, hit0, hit100)
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "perfbench: serving hit gain %.1fx (gate ≥ %.1fx)\n", gain, *minhitgain)
 		}
 	}
 	// The racing gate compares fixed-seed lockstep iteration counts —

@@ -147,7 +147,10 @@ func (r *ShardRunner) Epoch() int64 { return r.epoch }
 //     the runner's own engines from it (see the determinism contract),
 //     and is ready for the next RunEpoch.
 //   - ctx cancelled: returns ctx's error; the partial epoch is
-//     discarded — at most one snapshot interval of work is lost.
+//     discarded — at most one snapshot interval of work is lost. The
+//     engines may already have stepped part of the epoch, so the runner
+//     is spent: resume by building a new one from the last checkpoint
+//     (NewShardRunner with it), as Worker.start does.
 func (r *ShardRunner) RunEpoch(ctx context.Context) (Checkpoint, *Solution, error) {
 	quantum := r.cfg.CheckEvery
 	if quantum <= 0 {

@@ -145,8 +145,10 @@ func TestShardRunnerSolves(t *testing.T) {
 	}
 }
 
-// TestShardRunnerCancelDiscardsPartialEpoch: a cancelled epoch leaves
-// the runner exactly at its last boundary.
+// TestShardRunnerCancelDiscardsPartialEpoch: an epoch whose ctx is
+// already cancelled returns before its first quantum and leaves the
+// runner at its last boundary. (A ctx cancelled mid-epoch leaves the
+// runner spent; RunEpoch's doc says how to resume.)
 func TestShardRunnerCancelDiscardsPartialEpoch(t *testing.T) {
 	spec := hardSpec(t)
 	r, err := NewShardRunner(spec, 0, nil)

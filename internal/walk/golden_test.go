@@ -55,10 +55,11 @@ func racingConfig(n, walkers int, seed uint64, quantum int, window int64) Config
 
 // TestLockstepOutcomeGoldens pins the exact outcome of every lockstep
 // scheduling shape — independent, portfolio, virtual budgets and racing
-// windows, including window caps that are not a multiple of the quantum
-// and a budget that ends inside a window. The expected values were
-// recorded before the scheduler's window loop was unified; any change to
-// them is a change of trajectory.
+// windows, including window caps and a budget that are not a multiple of
+// the quantum and a budget that ends inside a window. The expected values
+// were recorded before the scheduler's window loop was unified, except
+// budget/inside-quantum, recorded when budgets became exact; any change
+// to them is a change of trajectory.
 func TestLockstepOutcomeGoldens(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -94,6 +95,15 @@ func TestLockstepOutcomeGoldens(t *testing.T) {
 				return Virtual(ctx, capFactory(18), capConfig(18, 4, 7), 128)
 			},
 			want: lockstepOutcome{Winner: -1, TotalIterations: 512, StatsFNV: 0x3ea7b41408d0a124},
+		},
+		{
+			// A budget that is not a multiple of the quantum (64) cuts
+			// each walker's last quantum short: 4 × 100 iterations.
+			name: "budget/inside-quantum",
+			run: func() Result {
+				return Virtual(ctx, capFactory(18), capConfig(18, 4, 7), 100)
+			},
+			want: lockstepOutcome{Winner: -1, TotalIterations: 400, StatsFNV: 0x62b1b65f68e76087},
 		},
 		{
 			name: "racing/window24/quantum8",

@@ -46,10 +46,9 @@ type WalkerObs struct {
 // so lockstep runs stay bit-reproducible at any MaxParallelism.
 type Allocator interface {
 	// Window returns the length of window w in iterations of virtual
-	// time per walker (values < 1 fall back to a default length). The
-	// schedule may vary by window — racing policies typically start with
-	// short windows for cheap early decision points and grow them so
-	// long runs pay less observation noise and restart overhead.
+	// time per walker; it must be at least 1. The cadence is fixed in
+	// practice: race.Controller always returns race.DefaultWindow, and
+	// tests override it to get short windows on small instances.
 	Window(w int) int64
 	// Observe feeds the windowed per-walker observations for window w.
 	// It is also called for the final (possibly partial) window, so the
@@ -60,10 +59,6 @@ type Allocator interface {
 	// the initial split before anything has been observed.
 	Assign(w int) []int
 }
-
-// defaultRacingWindow is the reallocation cadence used when the Allocator
-// returns a non-positive Window().
-const defaultRacingWindow = 256
 
 // racer is a racing run's per-walker allocation state.
 type racer struct {
@@ -94,12 +89,14 @@ func newRacer(cfg Config) *racer {
 	}
 }
 
-// window returns the length of window w.
+// window returns the length of window w. A window below 1 would never
+// end; like a bad assignment it is a programming error.
 func (r *racer) window(w int) int64 {
-	if win := r.alloc.Window(w); win >= 1 {
-		return win
+	win := r.alloc.Window(w)
+	if win < 1 {
+		panic("walk: Allocator.Window returned a length below 1")
 	}
-	return defaultRacingWindow
+	return win
 }
 
 // observe feeds the Allocator window w's per-walker observations.

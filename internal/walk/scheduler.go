@@ -98,7 +98,9 @@ func (s schedule) stepFor(i int, e csp.Engine) int {
 // the walkers, runs windows until a terminal condition — a winner, ctx
 // cancelled, every walker exhausted, the virtual budget spent, or the end
 // of a run's only window — and assembles the Result. budget bounds each
-// walker's virtual time (0 = unlimited); Parallel passes 0.
+// walker's virtual time exactly (0 = unlimited): it clamps every window,
+// so a walker stops at the budget even inside a quantum. Parallel
+// passes 0.
 func drive(ctx context.Context, newModel func() csp.Model, cfg Config, mode runMode, budget int64) Result {
 	cfg = cfg.withDefaults()
 	var rc *racer
@@ -115,12 +117,6 @@ func drive(ctx context.Context, newModel func() csp.Model, cfg Config, mode runM
 		engines[i] = factory(newModel(), seeds[i])
 	}
 	s := schedule{quantum: cfg.CheckEvery, workers: min(cfg.MaxParallelism, cfg.Walkers)}
-	if budget > 0 && rc == nil {
-		// Without racing windows a budget ends at a lockstep round
-		// boundary: the first multiple of the quantum at or past it.
-		q := int64(cfg.CheckEvery)
-		budget = (budget + q - 1) / q * q
-	}
 
 	// A random initial configuration can already be a solution (always
 	// for n ≤ 2); the step loops skip solved engines, so detect this up

@@ -170,8 +170,8 @@ func Parallel(ctx context.Context, newModel func() csp.Model, cfg Config) Result
 // boundary with a partial Result.
 //
 // maxVirtualIterations bounds each walker's virtual time (0 = unlimited).
-// A run without an Allocator stops at the first lockstep round boundary
-// at or past the bound; a racing run cuts its last window at the bound.
+// The bound is exact, with or without an Allocator: a walker's last
+// quantum is cut short at the bound, so no walker runs past it.
 func Virtual(ctx context.Context, newModel func() csp.Model, cfg Config, maxVirtualIterations int64) Result {
 	return drive(ctx, newModel, cfg, modeLockstep, maxVirtualIterations)
 }

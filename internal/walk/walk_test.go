@@ -3,6 +3,7 @@ package walk
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -340,6 +341,46 @@ func (r rotating) Assign(w int) []int {
 		assign[i] = (i + w) % r.arms
 	}
 	return assign
+}
+
+// faulty is a racing allocator with a fixed, possibly invalid, answer.
+type faulty struct {
+	assign []int
+	window int64
+}
+
+func (f faulty) Window(int) int64         { return f.window }
+func (f faulty) Observe(int, []WalkerObs) {}
+func (f faulty) Assign(int) []int         { return f.assign }
+
+// TestAllocatorProgrammingErrorsPanic: an allocator that breaks its
+// contract fails the run loudly instead of misrouting walkers or looping
+// forever on a window that never ends.
+func TestAllocatorProgrammingErrorsPanic(t *testing.T) {
+	cases := []struct {
+		name  string
+		alloc faulty
+		want  string
+	}{
+		{"wrong-length-assign", faulty{assign: []int{0, 1, 0}, window: 32}, "wrong walker count"},
+		{"arm-out-of-range", faulty{assign: []int{0, 1, 2, 0}, window: 32}, "out of range"},
+		{"zero-window", faulty{assign: []int{0, 1, 0, 1}, window: 0}, "below 1"},
+		{"negative-window", faulty{assign: []int{0, 1, 0, 1}, window: -5}, "below 1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := capConfig(13, 4, 1)
+			cfg.Portfolio = []csp.Factory{adaptive.Factory(costas.TunedParams(13)), tabu.Factory(tabu.Params{})}
+			cfg.Allocator = tc.alloc
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one containing %q", msg, tc.want)
+				}
+			}()
+			Virtual(context.Background(), capFactory(13), cfg, 1<<16)
+		})
+	}
 }
 
 // TestVirtualDeterministicAcrossWorkerCounts: the lockstep scheduler hands
