@@ -51,7 +51,6 @@ func main() {
 	var (
 		n         = flag.Int("n", 18, "Costas array order")
 		method    = flag.String("method", "adaptive", "search method: "+strings.Join(core.Methods(), ", ")+", or cp (complete search)")
-		solver    = flag.String("solver", "", "deprecated alias of -method")
 		portfolio = flag.String("portfolio", "", "comma-separated method mix for -method portfolio (default all four)")
 		walkers   = flag.Int("walkers", 1, "number of independent walkers")
 		virtual   = flag.Bool("virtual", false, "lockstep virtual cluster instead of goroutines")
@@ -91,27 +90,14 @@ func main() {
 		return
 	}
 
-	methodSet, solverSet := false, false
+	methodSet := false
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "method":
+		if f.Name == "method" {
 			methodSet = true
-		case "solver":
-			solverSet = true
 		}
 	})
-	if solverSet {
-		if methodSet {
-			fmt.Fprintf(os.Stderr, "-solver is a deprecated alias of -method; pass only one\n")
-			exit(2)
-		}
-		if *solver == "as" {
-			*solver = "adaptive"
-		}
-		*method = *solver
-	}
 	if *portfolio != "" && *method != "portfolio" {
-		if methodSet || solverSet {
+		if methodSet {
 			fmt.Fprintf(os.Stderr, "-portfolio conflicts with -method %s (use -method portfolio)\n", *method)
 			exit(2)
 		}
@@ -145,7 +131,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-addr submits to the multi-walk service; -construct and -method cp are local-only modes")
 			exit(2)
 		}
-		remote = backend.NewRemote(*addr, backend.RemoteConfig{})
+		remote = backend.NewRemote(*addr)
 	}
 
 	if *construct {

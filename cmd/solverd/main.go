@@ -124,7 +124,7 @@ func main() {
 			if !strings.Contains(node, ":") {
 				log.Fatalf("solverd: -workers entry %q is neither an integer worker count nor a host:port node address", node)
 			}
-			members = append(members, backend.NewRemote(node, backend.RemoteConfig{}))
+			members = append(members, backend.NewRemote(node))
 		}
 		p, err := backend.NewPool(members, backend.PoolConfig{HedgeAfter: *hedge})
 		if err != nil {

@@ -33,7 +33,7 @@ func TestSolverOutputsAreEnumerable(t *testing.T) {
 		t.Fatalf("enumerator found %d arrays, published %d", len(all), costas.KnownCounts[n])
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
-		res, err := core.SolveSequential(n, seed)
+		res, err := core.Solve(context.Background(), core.Options{N: n, Seed: seed})
 		if err != nil || !res.Solved {
 			t.Fatalf("seed %d: %v %+v", seed, err, res)
 		}

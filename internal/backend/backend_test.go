@@ -34,7 +34,7 @@ func newWorker(t testing.TB, cfg service.Config) (*Remote, *httptest.Server) {
 		defer cancel()
 		_ = s.Shutdown(ctx)
 	})
-	return NewRemote(ts.URL, RemoteConfig{}), ts
+	return NewRemote(ts.URL), ts
 }
 
 // sameSolve asserts the deterministic fields of two results match
@@ -170,7 +170,8 @@ func TestRemoteRetriesTransient(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	remote := NewRemote(ts.URL, RemoteConfig{Retries: 3, Backoff: time.Millisecond})
+	remote := NewRemote(ts.URL)
+	remote.retries, remote.backoff = 3, time.Millisecond
 	res, err := remote.SolveSpec(context.Background(), "costas n=10 seed=2", core.Options{})
 	if err != nil || !res.Solved {
 		t.Fatalf("retried solve failed: res=%+v err=%v", res, err)
@@ -181,6 +182,23 @@ func TestRemoteRetriesTransient(t *testing.T) {
 	var re *RemoteError
 	if err == nil || !errors.As(err, &re) || re.Status != http.StatusBadRequest || re.Transient() {
 		t.Fatalf("want permanent 400 RemoteError, got %v", err)
+	}
+
+	// A 500 is a bug on the node, not weather: one request, no retry.
+	var hits atomic.Int64
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	defer broken.Close()
+	down := NewRemote(broken.URL)
+	down.backoff = time.Millisecond
+	_, err = down.SolveSpec(context.Background(), "costas n=10 seed=2", core.Options{})
+	if err == nil || !errors.As(err, &re) || re.Status != http.StatusInternalServerError || re.Transient() {
+		t.Fatalf("want permanent 500 RemoteError, got %v", err)
+	}
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("a 500 reached the node %d times, want 1 (no retry)", got)
 	}
 }
 

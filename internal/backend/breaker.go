@@ -149,9 +149,6 @@ func (b *breaker) snapshot() string {
 // member works; caller-side cancellation proves nothing and only
 // releases a probe claim; transient failures count toward tripping.
 func (p *Pool) recordOutcome(i int, err error) {
-	if p.breakers == nil {
-		return
-	}
 	b := p.breakers[i]
 	switch {
 	case err == nil:
@@ -170,9 +167,6 @@ func (p *Pool) recordOutcome(i int, err error) {
 // tripped, and failing fast beats hammering a fleet that just proved
 // it cannot serve.
 func (p *Pool) breakerCandidates(up []int) ([]int, error) {
-	if p.breakers == nil {
-		return up, nil
-	}
 	now := time.Now()
 	out := make([]int, 0, len(up))
 	for _, i := range up {
@@ -186,25 +180,17 @@ func (p *Pool) breakerCandidates(up []int) ([]int, error) {
 	return out, nil
 }
 
-// breakerAcquire claims dispatch admission for member i (always true
-// when breakers are disabled).
+// breakerAcquire claims dispatch admission for member i.
 func (p *Pool) breakerAcquire(i int) bool {
-	if p.breakers == nil {
-		return true
-	}
 	return p.breakers[i].acquire(time.Now())
 }
 
 // BreakerStates reports each member's breaker state, in member order —
 // observability for operators and the chaos suite.
 func (p *Pool) BreakerStates() []string {
-	out := make([]string, len(p.backends))
-	for i := range p.backends {
-		if p.breakers == nil {
-			out[i] = "disabled"
-		} else {
-			out[i] = p.breakers[i].snapshot()
-		}
+	out := make([]string, len(p.breakers))
+	for i, b := range p.breakers {
+		out[i] = b.snapshot()
 	}
 	return out
 }

@@ -70,7 +70,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 // TestPoolBreakerTripsOnRepeatedCallFailures: a member that answers
 // health probes but keeps failing real calls is tripped out of the
-// rotation after BreakerThreshold failures, and comes back through a
+// rotation after threshold failures, and comes back through a
 // half-open probe once it recovers.
 func TestPoolBreakerTripsOnRepeatedCallFailures(t *testing.T) {
 	var calls atomic.Int64
@@ -85,15 +85,16 @@ func TestPoolBreakerTripsOnRepeatedCallFailures(t *testing.T) {
 			return core.Result{}, &RemoteError{Backend: "flaky", Err: fmt.Errorf("connection reset")}
 		},
 	}
-	pool, err := NewPool([]Backend{flaky, NewLocal()}, PoolConfig{
-		// Tiny HealthTTL: probes alone would put the flaky member right
-		// back into the rotation — the breaker is what must keep it out.
-		HealthTTL:        time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  80 * time.Millisecond,
-	})
+	pool, err := NewPool([]Backend{flaky, NewLocal()}, PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Tiny probe TTL: probes alone would put the flaky member right back
+	// into the rotation — the breaker is what must keep it out. A short
+	// cooldown keeps the test fast.
+	pool.healthTTL = time.Millisecond
+	for _, b := range pool.breakers {
+		b.threshold, b.cooldown = 2, 80*time.Millisecond
 	}
 	solve := func() {
 		t.Helper()

@@ -113,13 +113,12 @@ func bootNode(t *testing.T, cfg service.Config) *httptest.Server {
 func chaosWorker(t *testing.T, plan *faultinject.Plan, site string) *Remote {
 	t.Helper()
 	ts := bootNode(t, service.Config{})
-	return NewRemote(ts.URL, RemoteConfig{
-		Client: &http.Client{
-			Transport: &workPathChaos{chaos: &faultinject.Transport{Site: plan.Site(site, chaosHTTPRates())}},
-		},
-		Retries: 5,
-		Backoff: 2 * time.Millisecond,
-	})
+	r := NewRemote(ts.URL)
+	r.client = &http.Client{
+		Transport: &workPathChaos{chaos: &faultinject.Transport{Site: plan.Site(site, chaosHTTPRates())}},
+	}
+	r.retries, r.backoff = 5, 2*time.Millisecond
+	return r
 }
 
 // TestChaosClusterBatchNoLostSolutions: the acceptance batch from the
@@ -230,11 +229,9 @@ func chaosReplayRun(t *testing.T, seed uint64) ([]core.Result, []faultinject.Dec
 	plan := faultinject.NewPlan(seed)
 	site := plan.Site("replay.http", chaosHTTPRates())
 	ts := bootNode(t, service.Config{CacheSize: -1})
-	remote := NewRemote(ts.URL, RemoteConfig{
-		Client:  &http.Client{Transport: &faultinject.Transport{Site: site}},
-		Retries: 6,
-		Backoff: time.Millisecond,
-	})
+	remote := NewRemote(ts.URL)
+	remote.client = &http.Client{Transport: &faultinject.Transport{Site: site}}
+	remote.retries, remote.backoff = 6, time.Millisecond
 
 	specs := []string{
 		"costas n=10 seed=1",

@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/registry"
 )
 
 // Local executes in this process through the facade's registry route —
@@ -14,30 +13,16 @@ import (
 // backend at all. It is the unit other backends are measured against
 // (the parity tests pit Pool and Remote results against Local's) and the
 // building block of in-process test clusters.
-//
-// The zero value is ready to use: Default registry, GOMAXPROCS capacity.
-type Local struct {
-	// Registry resolves run specs; nil means registry.Default.
-	Registry *registry.Registry
-	// Workers is the capacity hint Pool shards by; 0 means GOMAXPROCS.
-	Workers int
-}
+type Local struct{}
 
-// NewLocal returns a Local backend on the Default registry.
+// NewLocal returns a Local backend.
 func NewLocal() *Local { return &Local{} }
-
-func (l *Local) registry() *registry.Registry {
-	if l.Registry != nil {
-		return l.Registry
-	}
-	return registry.Default
-}
 
 // SolveSpec resolves and solves the run spec in-process. Spec keys
 // override opts, exactly as in core.SolveSpec.
 func (l *Local) SolveSpec(ctx context.Context, spec string, opts core.Options) (core.Result, error) {
 	opts.Backend = nil // a backend terminates routing; never recurse
-	inst, ropts, err := core.ParseRunSpecIn(l.registry(), spec, opts)
+	inst, ropts, err := core.ParseRunSpec(spec, opts)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -47,21 +32,13 @@ func (l *Local) SolveSpec(ctx context.Context, spec string, opts core.Options) (
 // SolveBatch runs the batch on the in-process worker pool.
 func (l *Local) SolveBatch(ctx context.Context, jobs []core.BatchJob, opts core.BatchOptions) (core.BatchResult, error) {
 	opts.Backend = nil
-	if opts.Registry == nil {
-		opts.Registry = l.registry()
-	}
 	return core.SolveBatch(ctx, jobs, opts)
 }
 
 // Healthy always reports ready: the process answering is the liveness.
 func (l *Local) Healthy(ctx context.Context) error { return ctx.Err() }
 
-// Capacity reports the configured worker hint (GOMAXPROCS by default).
-func (l *Local) Capacity() int {
-	if l.Workers > 0 {
-		return l.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Capacity reports GOMAXPROCS.
+func (l *Local) Capacity() int { return runtime.GOMAXPROCS(0) }
 
 func (l *Local) Name() string { return "local" }

@@ -37,47 +37,48 @@ import (
 //
 // Failure semantics: a member that fails a health probe is skipped for
 // the call; a member that fails mid-batch has its in-flight jobs
-// requeued for the survivors (each job is attempted on up to MaxAttempts
-// members before its error is surfaced per job, and a result is recorded
-// exactly once per job — no loss, no duplication).
+// requeued for the survivors (each job is attempted on up to
+// max(2, members) members before its error is surfaced per job, and a
+// result is recorded exactly once per job — no loss, no duplication).
 type Pool struct {
-	backends []Backend
-	cfg      PoolConfig
-	inflight []atomic.Int64 // per-member in-flight calls, for least-loaded routing
-	breakers []*breaker     // per-member circuit breakers; nil = disabled
+	backends  []Backend
+	cfg       PoolConfig
+	healthTTL time.Duration  // how long a probe verdict is trusted; tests shorten it
+	inflight  []atomic.Int64 // per-member in-flight calls, for least-loaded routing
+	breakers  []*breaker     // per-member circuit breakers
 
 	healthMu  sync.Mutex // guards the probe cache below
 	probedAt  []time.Time
 	probeErrs []error
 }
 
+const (
+	// healthTimeout bounds each member's health probe.
+	healthTimeout = 2 * time.Second
+	// healthTTL is how long a probe result (up or down) is trusted
+	// before re-probing. The cache keeps one hung member from adding its
+	// probe timeout to every call, and keeps a member that died mid-call
+	// out of the rotation until it answers a fresh probe.
+	healthTTL = time.Second
+	// breakerThreshold is how many consecutive transient call failures
+	// trip a member's circuit breaker (the member then takes no work
+	// until breakerCooldown passes and a half-open probe call succeeds).
+	// The breaker complements the health cache: probes catch a dead
+	// member, the breaker catches one that answers probes but fails real
+	// work.
+	breakerThreshold = 3
+	// breakerCooldown is how long a tripped breaker stays open before
+	// admitting a half-open probe; it doubles on each consecutive
+	// re-trip, capped at 16× this base.
+	breakerCooldown = 2 * time.Second
+)
+
 // PoolConfig tunes a Pool. The zero value is production-safe.
 type PoolConfig struct {
-	// HealthTimeout bounds each member's health probe; 0 means 2s.
-	HealthTimeout time.Duration
-	// HealthTTL is how long a probe result (up or down) is trusted before
-	// re-probing; 0 means 1s. The cache keeps one hung member from adding
-	// its probe timeout to every call, and keeps a member that died
-	// mid-call out of the rotation until it answers a fresh probe.
-	HealthTTL time.Duration
 	// ChunkSize caps how many batch jobs are handed to a member per
 	// dispatch; 0 sizes chunks by the member's Capacity. Smaller chunks
 	// steal the tail more aggressively at the cost of more round trips.
 	ChunkSize int
-	// MaxAttempts is how many members a batch job may be attempted on
-	// before it fails; 0 means max(2, len(backends)).
-	MaxAttempts int
-	// BreakerThreshold is how many consecutive transient call failures
-	// trip a member's circuit breaker (the member then takes no work
-	// until BreakerCooldown passes and a half-open probe call succeeds).
-	// 0 means 3; negative disables breakers. The breaker complements the
-	// health cache: probes catch a dead member, the breaker catches one
-	// that answers probes but fails real work.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// admitting a half-open probe; it doubles on each consecutive
-	// re-trip, capped at 16× this base. 0 means 2s.
-	BreakerCooldown time.Duration
 	// HedgeAfter, when > 0, hedges single solves against slow members:
 	// if the routed member has not answered within this duration, the
 	// same solve is dispatched to the next least-loaded member and the
@@ -86,13 +87,6 @@ type PoolConfig struct {
 	// batches already work-steal. Explicit-seed solves are idempotent
 	// across the duplicate dispatch by construction.
 	HedgeAfter time.Duration
-	// OnRequeue, when non-nil, observes every batch-job requeue caused by
-	// a member failure: job is the batch index, attempts the count so far,
-	// err the member error that killed the chunk. Durable layers hang
-	// attempt persistence off this hook (the campaign coordinator logs an
-	// attempt record per shard death the same way); it runs inline under
-	// the batch lock, so keep it fast and never call back into the Pool.
-	OnRequeue func(job, attempts int, err error)
 }
 
 // NewPool returns a Pool over the given members. At least one backend is
@@ -101,37 +95,17 @@ func NewPool(backends []Backend, cfg PoolConfig) (*Pool, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("backend: pool needs at least one backend")
 	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = 2 * time.Second
-	}
-	if cfg.HealthTTL <= 0 {
-		cfg.HealthTTL = time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = len(backends)
-		if cfg.MaxAttempts < 2 {
-			cfg.MaxAttempts = 2
-		}
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
-	}
 	p := &Pool{
 		backends:  backends,
 		cfg:       cfg,
+		healthTTL: healthTTL,
 		inflight:  make([]atomic.Int64, len(backends)),
+		breakers:  make([]*breaker, len(backends)),
 		probedAt:  make([]time.Time, len(backends)),
 		probeErrs: make([]error, len(backends)),
 	}
-	if cfg.BreakerThreshold >= 0 {
-		threshold := cfg.BreakerThreshold
-		if threshold == 0 {
-			threshold = 3
-		}
-		p.breakers = make([]*breaker, len(backends))
-		for i := range p.breakers {
-			p.breakers[i] = &breaker{threshold: threshold, cooldown: cfg.BreakerCooldown}
-		}
+	for i := range p.breakers {
+		p.breakers[i] = &breaker{threshold: breakerThreshold, cooldown: breakerCooldown}
 	}
 	return p, nil
 }
@@ -158,7 +132,7 @@ func (p *Pool) Healthy(ctx context.Context) error {
 
 // healthyMembers returns the indices of the members currently believed
 // healthy, preserving member order. Members whose cached probe is older
-// than HealthTTL are re-probed concurrently (bounded by HealthTimeout);
+// than healthTTL are re-probed concurrently (bounded by healthTimeout);
 // fresh verdicts — including "down", recorded by markDown when a member
 // fails mid-call — are trusted without blocking, so one hung member
 // costs at most one probe timeout per TTL, not per call. All members
@@ -168,14 +142,14 @@ func (p *Pool) healthyMembers(ctx context.Context) ([]int, error) {
 	p.healthMu.Lock()
 	var stale []int
 	for i := range p.backends {
-		if now.Sub(p.probedAt[i]) >= p.cfg.HealthTTL {
+		if now.Sub(p.probedAt[i]) >= p.healthTTL {
 			stale = append(stale, i)
 		}
 	}
 	p.healthMu.Unlock()
 
 	if len(stale) > 0 {
-		probeCtx, cancel := context.WithTimeout(ctx, p.cfg.HealthTimeout)
+		probeCtx, cancel := context.WithTimeout(ctx, healthTimeout)
 		errs := make([]error, len(stale))
 		var wg sync.WaitGroup
 		for k, i := range stale {
@@ -214,7 +188,7 @@ func (p *Pool) healthyMembers(ctx context.Context) ([]int, error) {
 }
 
 // markDown records a member failure observed mid-call, so the member
-// stays out of the rotation until a fresh probe (after HealthTTL) says
+// stays out of the rotation until a fresh probe (after healthTTL) says
 // otherwise.
 func (p *Pool) markDown(i int, err error) {
 	p.healthMu.Lock()
@@ -388,20 +362,16 @@ func (p *Pool) splitWalkers(w int, up []int) ([]int, []int) {
 // (shards concatenated in member order) and sums the parallel work.
 func (p *Pool) solveDistributed(ctx context.Context, spec string, opts core.Options, up []int) (core.Result, error) {
 	start := time.Now()
-	if p.breakers != nil {
-		now := time.Now()
-		admitted := make([]int, 0, len(up))
-		for _, i := range up {
-			if p.breakers[i].acquire(now) {
-				admitted = append(admitted, i)
-			}
+	admitted := make([]int, 0, len(up))
+	for _, i := range up {
+		if p.breakers[i].acquire(start) {
+			admitted = append(admitted, i)
 		}
-		if len(admitted) == 0 {
-			return core.Result{}, fmt.Errorf("backend: every member of %s has an open circuit breaker", p.Name())
-		}
-		up = admitted
 	}
-	shares, up := p.splitWalkers(opts.Walkers, up)
+	if len(admitted) == 0 {
+		return core.Result{}, fmt.Errorf("backend: every member of %s has an open circuit breaker", p.Name())
+	}
+	shares, up := p.splitWalkers(opts.Walkers, admitted)
 	shardSeeds := core.DeriveSeeds(opts.Seed, len(up))
 
 	raceCtx, cancelLosers := context.WithCancel(ctx)
@@ -539,7 +509,7 @@ func (st *batchState) take(ctx context.Context, n int) []int {
 // member failure the chunk's jobs are requeued for the survivors unless
 // they are out of attempts, in which case callErr becomes their per-job
 // error.
-func (st *batchState) settle(chunk []int, results []core.JobResult, callErr error, maxAttempts int, onRequeue func(job, attempts int, err error)) {
+func (st *batchState) settle(chunk []int, results []core.JobResult, callErr error, maxAttempts int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.outstanding--
@@ -558,9 +528,6 @@ func (st *batchState) settle(chunk []int, results []core.JobResult, callErr erro
 				st.done[idx] = true
 			} else {
 				st.pending = append(st.pending, idx)
-				if onRequeue != nil {
-					onRequeue(idx, st.attempts[idx], callErr)
-				}
 			}
 		}
 	}
@@ -650,7 +617,7 @@ func (p *Pool) SolveBatch(ctx context.Context, jobs []core.BatchJob, opts core.B
 					err = fmt.Errorf("backend: %s returned %d results for a %d-job chunk", be.Name(), len(br.Jobs), len(chunk))
 				}
 				p.recordOutcome(i, err)
-				st.settle(chunk, br.Jobs, err, p.cfg.MaxAttempts, p.cfg.OnRequeue)
+				st.settle(chunk, br.Jobs, err, max(2, len(p.backends)))
 				if err != nil {
 					// This member is dropped for the rest of the batch
 					// (and out of the rotation until a fresh probe);

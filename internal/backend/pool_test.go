@@ -158,7 +158,8 @@ func TestPoolReroutesKilledWorkerMidBatch(t *testing.T) {
 	}
 
 	addr, gotWork, kill := blockingWorker(t)
-	victim := NewRemote(addr, RemoteConfig{Retries: 1, Backoff: time.Millisecond})
+	victim := NewRemote(addr)
+	victim.retries, victim.backoff = 1, time.Millisecond
 	pool, err := NewPool([]Backend{victim, NewLocal()}, PoolConfig{ChunkSize: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -37,99 +37,78 @@ import (
 // wire; remote results carry synthesized Stats (correct length, winner's
 // iteration count only).
 type Remote struct {
-	base string
-	cfg  RemoteConfig
+	base    string
+	client  *http.Client  // dedicated to this backend; tests swap in a fault-injecting transport
+	retries int           // transient failures retried on top of the first attempt
+	backoff time.Duration // initial retry backoff, doubled per attempt
 
 	mu       sync.Mutex
 	capacity int // learned from /healthz "workers"; 0 until first probe
 }
 
-// RemoteConfig tunes a Remote backend. The zero value is production-safe.
-type RemoteConfig struct {
-	// Client is the HTTP client used for every call; nil uses a dedicated
-	// client over a tuned http.Transport sized for coordinator fan-in —
-	// enough idle connections per host for the member's whole capacity to
-	// be in flight without re-dialing (never http.DefaultClient, whose
-	// global connection pool does not belong to this backend).
-	Client *http.Client
-	// Retries is how many times a transient failure is retried (on top of
-	// the first attempt); 0 means 2. Solves are safe to retry: a run spec
-	// plus explicit seeds is idempotent, and derived-seed real-mode runs
-	// are statistically equivalent.
-	Retries int
-	// Backoff is the initial retry backoff, doubled per attempt; 0 means
-	// 50ms.
-	Backoff time.Duration
-	// Jitter draws the random part of each retry wait: the actual pause
-	// is backoff/2 plus Jitter(backoff/2) — "equal jitter", so a fleet
-	// of coordinators tripped by the same member outage spreads its
-	// retries across half the backoff window instead of stampeding back
-	// in lockstep. nil uses math/rand; the server's Retry-After hint
-	// remains the floor regardless of the draw.
-	Jitter func(max time.Duration) time.Duration
-	// Capacity overrides the capacity hint; 0 learns it from the node's
-	// /healthz "workers" field on the first health probe.
-	Capacity int
-}
+const (
+	// remoteRetries is how many times a transient failure is retried.
+	// Solves are safe to retry: a run spec plus explicit seeds is
+	// idempotent, and derived-seed real-mode runs are statistically
+	// equivalent.
+	remoteRetries = 2
+	// remoteBackoff is the initial retry backoff.
+	remoteBackoff = 50 * time.Millisecond
+	// remoteIdleConns is the idle-connection pool of a Remote's client,
+	// sized for coordinator fan-in: enough for a member's whole capacity
+	// to be in flight without re-dialing.
+	remoteIdleConns = 64
+)
 
 // NewRemote returns a Remote backend for a solverd node at addr
-// ("host:8080" or a full "http://host:8080" base URL).
-func NewRemote(addr string, cfg RemoteConfig) *Remote {
+// ("host:8080" or a full "http://host:8080" base URL). Its capacity hint
+// is learned from the node's /healthz "workers" field on the first
+// health probe.
+func NewRemote(addr string) *Remote {
 	base := strings.TrimSuffix(addr, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	if cfg.Client == nil {
-		cfg.Client = newRemoteClient(cfg.Capacity)
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 2
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 50 * time.Millisecond
-	}
-	if cfg.Jitter == nil {
-		cfg.Jitter = func(max time.Duration) time.Duration {
-			if max <= 0 {
-				return 0
-			}
-			return time.Duration(rand.Int64N(int64(max) + 1))
-		}
-	}
-	return &Remote{base: base, cfg: cfg}
+	return &Remote{base: base, client: newRemoteClient(), retries: remoteRetries, backoff: remoteBackoff}
 }
 
-// newRemoteClient builds the default per-backend HTTP client: a
-// dedicated transport whose idle pool covers the member's capacity (so a
-// coordinator pushing capacity-wide concurrency reuses connections
-// instead of re-dialing per request — at high QPS the dial+handshake is
-// otherwise the dominant cost and burns ephemeral ports) with an idle
-// timeout short enough to shed connections when traffic moves away.
-// A Remote talks to exactly one host, so the per-host and total idle
-// limits coincide.
-func newRemoteClient(capacity int) *http.Client {
-	perHost := capacity
-	if perHost < 64 {
-		perHost = 64
-	}
+// newRemoteClient builds the per-backend HTTP client: a dedicated
+// transport (never http.DefaultClient, whose global connection pool does
+// not belong to this backend) whose idle pool lets a coordinator pushing
+// capacity-wide concurrency reuse connections instead of re-dialing per
+// request — at high QPS the dial+handshake is otherwise the dominant
+// cost and burns ephemeral ports — with an idle timeout short enough to
+// shed connections when traffic moves away. A Remote talks to exactly
+// one host, so the per-host and total idle limits coincide.
+func newRemoteClient() *http.Client {
 	return &http.Client{
 		Transport: &http.Transport{
 			Proxy:               http.ProxyFromEnvironment,
-			MaxIdleConns:        perHost,
-			MaxIdleConnsPerHost: perHost,
+			MaxIdleConns:        remoteIdleConns,
+			MaxIdleConnsPerHost: remoteIdleConns,
 			IdleConnTimeout:     90 * time.Second,
 		},
 	}
 }
 
+// equalJitter draws the random part of each retry wait: the actual
+// pause is backoff/2 plus equalJitter(backoff/2) — "equal jitter", so a
+// fleet of coordinators tripped by the same member outage spreads its
+// retries across half the backoff window instead of stampeding back in
+// lockstep. The server's Retry-After hint remains the floor regardless
+// of the draw.
+func equalJitter(max time.Duration) time.Duration {
+	if max <= 0 {
+		return 0
+	}
+	return time.Duration(rand.Int64N(int64(max) + 1))
+}
+
 func (r *Remote) Name() string { return "remote(" + r.base + ")" }
 
-// Capacity reports the configured hint, the node's advertised worker
-// count once a health probe has run, or 1 before either is known.
+// Capacity reports the node's advertised worker count once a health
+// probe has run, or 1 before that.
 func (r *Remote) Capacity() int {
-	if r.cfg.Capacity > 0 {
-		return r.cfg.Capacity
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.capacity > 0 {
@@ -145,7 +124,7 @@ func (r *Remote) Healthy(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := r.cfg.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return &RemoteError{Backend: r.Name(), Err: err}
 	}
@@ -245,7 +224,7 @@ func (r *Remote) post(ctx context.Context, path string, body, out any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.cfg.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return &RemoteError{Backend: r.Name(), Err: err}
 	}
@@ -312,20 +291,20 @@ func retryWait(backoff time.Duration, err error, jitter func(time.Duration) time
 // exponentially (floored by the server's Retry-After, when given) and
 // retry while ctx is still live.
 func (r *Remote) call(ctx context.Context, path string, body, out any) error {
-	backoff := r.cfg.Backoff
+	backoff := r.backoff
 	for attempt := 0; ; attempt++ {
 		err := r.post(ctx, path, body, out)
 		if err == nil {
 			return nil
 		}
 		var re *RemoteError
-		if !errors.As(err, &re) || !re.Transient() || attempt >= r.cfg.Retries {
+		if !errors.As(err, &re) || !re.Transient() || attempt >= r.retries {
 			return err
 		}
 		select {
 		case <-ctx.Done():
 			return err
-		case <-time.After(retryWait(backoff, err, r.cfg.Jitter)):
+		case <-time.After(retryWait(backoff, err, equalJitter)):
 		}
 		backoff *= 2
 	}

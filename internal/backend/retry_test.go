@@ -70,10 +70,9 @@ func TestRetryWaitJitter(t *testing.T) {
 	if got := retryWait(backoff, hinted, low); got != time.Second {
 		t.Fatalf("Retry-After floor lost under jitter: %v", got)
 	}
-	// The default source (NewRemote's) stays within the window too.
-	r := NewRemote("localhost:1", RemoteConfig{})
+	// The production source stays within the window too.
 	for i := 0; i < 100; i++ {
-		if got := retryWait(backoff, err, r.cfg.Jitter); got < backoff/2 || got > backoff {
+		if got := retryWait(backoff, err, equalJitter); got < backoff/2 || got > backoff {
 			t.Fatalf("default jitter draw %v outside [%v, %v]", got, backoff/2, backoff)
 		}
 	}
@@ -111,7 +110,8 @@ func TestRemoteRetries429WithRetryAfterTiming(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	remote := NewRemote(ts.URL, RemoteConfig{Retries: 2, Backoff: time.Millisecond})
+	remote := NewRemote(ts.URL)
+	remote.backoff = time.Millisecond
 	start := time.Now()
 	res, err := remote.SolveSpec(context.Background(), "costas n=10 seed=2", core.Options{})
 	elapsed := time.Since(start)
@@ -147,11 +147,9 @@ func TestPoolBatchSurvives429Worker(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	var requeues atomic.Int64
-	pool, err := NewPool(
-		[]Backend{NewRemote(ts.URL, RemoteConfig{Retries: 2, Backoff: time.Millisecond})},
-		PoolConfig{OnRequeue: func(job, attempts int, err error) { requeues.Add(1) }},
-	)
+	remote := NewRemote(ts.URL)
+	remote.backoff = time.Millisecond
+	pool, err := NewPool([]Backend{remote}, PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,58 +158,13 @@ func TestPoolBatchSurvives429Worker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch through a 429-answering worker errored: %v", err)
 	}
+	// With one member a pool-level requeue has nowhere to go and fails
+	// the job, so every job solved shows the member-level retry inside
+	// Remote.call absorbed the 429.
 	for i, jr := range res.Jobs {
 		if jr.Err != nil || !jr.Result.Solved {
 			t.Fatalf("job %d failed through a merely-busy worker: %+v", i, jr)
 		}
-	}
-	// The retry happened inside Remote.call (member-level), so the Pool
-	// never had to requeue — the batch did not even notice the 429.
-	if got := requeues.Load(); got != 0 {
-		t.Fatalf("pool requeued %d jobs; the member-level retry should have absorbed the 429", got)
-	}
-}
-
-// TestPoolOnRequeueObservesMemberDeath: the requeue hook fires with
-// attempt counts when a member genuinely dies mid-batch.
-func TestPoolOnRequeueObservesMemberDeath(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Healthy on probes so the member stays in rotation, dead on work.
-		if r.URL.Path == "/healthz" {
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(`{"ok":true,"workers":2}`))
-			return
-		}
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer dead.Close()
-	live, _ := newWorker(t, service.Config{})
-
-	var requeued atomic.Int64
-	pool, err := NewPool(
-		[]Backend{NewRemote(dead.URL, RemoteConfig{Retries: 0, Backoff: time.Millisecond}), live},
-		PoolConfig{MaxAttempts: 2, OnRequeue: func(job, attempts int, err error) {
-			if attempts < 1 || err == nil {
-				t.Errorf("OnRequeue(job=%d, attempts=%d, err=%v): malformed call", job, attempts, err)
-			}
-			requeued.Add(1)
-		}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []core.BatchJob{{Spec: "costas n=10"}, {Spec: "costas n=11"}, {Spec: "costas n=12"}}
-	res, err := pool.SolveBatch(context.Background(), jobs, core.BatchOptions{MasterSeed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, jr := range res.Jobs {
-		if jr.Err != nil || !jr.Result.Solved {
-			t.Fatalf("job %d not recovered by the surviving member: %+v", i, jr)
-		}
-	}
-	if requeued.Load() == 0 {
-		t.Fatal("no OnRequeue calls despite a dead member (did every chunk land on the live one? lower ChunkSize)")
 	}
 }
 
@@ -224,7 +177,7 @@ func TestRemoteExpiredDeadlineFailsFast(t *testing.T) {
 		http.Error(w, "should never be reached", http.StatusInternalServerError)
 	}))
 	defer ts.Close()
-	remote := NewRemote(ts.URL, RemoteConfig{Retries: 0})
+	remote := NewRemote(ts.URL)
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()

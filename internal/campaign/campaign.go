@@ -63,17 +63,13 @@ type Spec struct {
 	// RunSpec is the instance + solver options in the registry's run-spec
 	// syntax, e.g. "costas n=24" or "costas n=22 method=tabu". Per-walk
 	// budget keys (maxiter) are rejected: a campaign runs until solved,
-	// cancelled or past its deadline. method=racing is rejected too —
-	// across a campaign the method portfolio is Arms, which gives each
-	// shard one method instead of moving walkers inside one process.
+	// cancelled or past its deadline. method=racing is rejected too: it
+	// moves walkers between methods inside one scheduler run, which a
+	// checkpointed shard cannot replay. To mix methods across a campaign
+	// use method=portfolio: the campaign's global walker k (shard s owns
+	// walkers [s·Walkers, (s+1)·Walkers)) runs portfolio arm
+	// k mod len(portfolio) for the campaign's whole life.
 	RunSpec string `json:"run_spec"`
-
-	// Arms, when set, is a static method portfolio across shards: shard s
-	// runs Arms[s % len(Arms)] (overriding any method in RunSpec) for the
-	// campaign's whole life, so every shard's walk stays a function of
-	// (spec, shard, checkpoint). At most Shards arms. Empty means a
-	// single-method campaign.
-	Arms []string `json:"arms,omitempty"`
 
 	// Shards is the number of independently assignable walk groups; the
 	// unit of distribution and checkpointing. Default 1.
@@ -120,29 +116,10 @@ func (s Spec) Normalize() (Spec, error) {
 	if s.RunSpec == "" {
 		return s, fmt.Errorf("campaign: empty run spec")
 	}
-	// Shard s runs Arms[s % len(Arms)], so an arm past the last shard
-	// would never run: reject it instead of silently dropping it.
-	if len(s.Arms) > s.Shards {
-		return s, fmt.Errorf("campaign: %d arms but only %d shards — every arm needs a shard", len(s.Arms), s.Shards)
-	}
 	// Building a probe runner validates the spec end to end: instance
-	// resolution, walk configuration and the Restartable requirement —
-	// once per arm (shard i runs arm i), so an arm that cannot build is
-	// rejected at create time, not when a worker first draws it.
-	seen := make(map[string]bool, len(s.Arms))
-	for i, arm := range s.Arms {
-		if seen[arm] {
-			return s, fmt.Errorf("campaign: duplicate arm %q", arm)
-		}
-		seen[arm] = true
-		if _, err := NewShardRunner(s, i, nil); err != nil {
-			return s, fmt.Errorf("campaign: arm %q: %w", arm, err)
-		}
-	}
-	if len(s.Arms) == 0 {
-		if _, err := NewShardRunner(s, 0, nil); err != nil {
-			return s, err
-		}
+	// resolution, walk configuration and the Restartable requirement.
+	if _, err := NewShardRunner(s, 0, nil); err != nil {
+		return s, err
 	}
 	return s, nil
 }
@@ -184,9 +161,8 @@ type Checkpoint struct {
 	CampaignID string        `json:"campaign_id"`
 	Shard      int           `json:"shard"`
 	Epoch      int64         `json:"epoch"`
-	Method     string        `json:"method,omitempty"` // arm the shard ran (status only; "" = RunSpec's method)
-	Iterations int64         `json:"iterations"`       // Σ walker cumulative iterations
-	BestCost   int           `json:"best_cost"`        // min walker cost at the boundary
+	Iterations int64         `json:"iterations"` // Σ walker cumulative iterations
+	BestCost   int           `json:"best_cost"`  // min walker cost at the boundary
 	Walkers    []WalkerState `json:"walkers"`
 	Taken      time.Time     `json:"taken,omitzero"`
 }
@@ -216,9 +192,8 @@ type CheckpointMeta struct {
 type Solution struct {
 	CampaignID string    `json:"campaign_id"`
 	Shard      int       `json:"shard"`
-	Walker     int       `json:"walker"`           // global walker index
-	Epoch      int64     `json:"epoch"`            // epoch in which the solve landed
-	Method     string    `json:"method,omitempty"` // arm that solved ("" = RunSpec's method)
+	Walker     int       `json:"walker"` // global walker index
+	Epoch      int64     `json:"epoch"`  // epoch in which the solve landed
 	Iterations int64     `json:"iterations"`
 	Config     []int     `json:"config"`
 	Found      time.Time `json:"found,omitzero"`
@@ -242,7 +217,6 @@ type ShardStatus struct {
 	Iterations int64     `json:"iterations"`
 	BestCost   int       `json:"best_cost"`
 	Attempts   int       `json:"attempts"`
-	Method     string    `json:"method,omitempty"` // arm at the last checkpoint
 	Worker     string    `json:"worker,omitempty"` // current assignee ("" = unassigned)
 	Updated    time.Time `json:"updated,omitzero"` // last checkpoint time
 }

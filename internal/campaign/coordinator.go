@@ -73,16 +73,6 @@ type CoordinatorConfig struct {
 	// reassigned (with the attempt persisted). Default 15s.
 	LeaseTTL time.Duration
 
-	// MaxClockJump bounds the clock step the coordinator attributes to
-	// real time passing. When consecutive expiry scans observe Now()
-	// move by more than this — an NTP step, a suspended VM, a stalled
-	// process — the gap is treated as a clock anomaly rather than
-	// worker silence: every live lease is re-armed for one fresh TTL
-	// instead of mass-expiring the fleet and thrashing shard
-	// assignments. Genuinely dead workers still expire, one TTL after
-	// the anomaly. Default 2×LeaseTTL; negative disables detection.
-	MaxClockJump time.Duration
-
 	// Now overrides the clock (tests). Default time.Now.
 	Now func() time.Time
 }
@@ -107,10 +97,9 @@ type CoordinatorConfig struct {
 // no search progress at all; a worker death costs at most one snapshot
 // interval of its shards' work.
 type Coordinator struct {
-	store   *Store
-	ttl     time.Duration
-	maxJump time.Duration
-	now     func() time.Time
+	store *Store
+	ttl   time.Duration
+	now   func() time.Time
 
 	mu         sync.Mutex
 	members    map[string]*member
@@ -137,16 +126,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 15 * time.Second
 	}
-	if cfg.MaxClockJump == 0 {
-		cfg.MaxClockJump = 2 * cfg.LeaseTTL
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	c := &Coordinator{
 		store:    cfg.Store,
 		ttl:      cfg.LeaseTTL,
-		maxJump:  cfg.MaxClockJump,
 		now:      cfg.Now,
 		members:  make(map[string]*member),
 		assigned: make(map[ShardRef]string),
@@ -297,13 +282,15 @@ func (c *Coordinator) touchLocked(id string, capacity int) *member {
 // calls "persists attempt state".
 //
 // Before expiring anyone it checks the clock itself: a step larger
-// than MaxClockJump since the previous scan (in either direction)
-// cannot be explained by heartbeat cadence, so it is absorbed by
-// re-arming every live lease rather than punishing workers for the
-// coordinator's clock.
+// than 2×LeaseTTL since the previous scan (in either direction) — an
+// NTP step, a suspended VM, a stalled process — cannot be explained by
+// heartbeat cadence, so it is treated as a clock anomaly rather than
+// worker silence: every live lease is re-armed for one fresh TTL
+// instead of mass-expiring the fleet and thrashing shard assignments.
+// Genuinely dead workers still expire, one TTL after the anomaly.
 func (c *Coordinator) expireLocked(now time.Time) {
-	if c.maxJump > 0 && !c.lastTick.IsZero() {
-		if jump := now.Sub(c.lastTick); jump > c.maxJump || jump < -c.maxJump {
+	if !c.lastTick.IsZero() {
+		if jump, maxJump := now.Sub(c.lastTick), 2*c.ttl; jump > maxJump || jump < -maxJump {
 			fresh := now.Add(c.ttl)
 			for _, m := range c.members {
 				if m.expires.Before(fresh) {
@@ -339,7 +326,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 }
 
 // SkewEvents reports how many clock anomalies (Now() steps larger than
-// MaxClockJump between expiry scans) the coordinator has absorbed.
+// 2×LeaseTTL between expiry scans) the coordinator has absorbed.
 func (c *Coordinator) SkewEvents() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

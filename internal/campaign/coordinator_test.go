@@ -2,8 +2,6 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -239,7 +237,7 @@ func TestCoordinatorClockJumpTolerance(t *testing.T) {
 		t.Fatalf("w1 got %d assignments, want 2", len(resp.Assign))
 	}
 
-	// The clock leaps 10×TTL — far past MaxClockJump (2×TTL). w1's
+	// The clock leaps 10×TTL — far past the 2×TTL jump bound. w1's
 	// shards must NOT be reassigned to w2.
 	clock.Advance(10 * time.Second)
 	resp = heartbeat(t, coord, HeartbeatRequest{WorkerID: "w2", Capacity: 2})
@@ -306,122 +304,4 @@ func TestWorkerSolvesInProcess(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatal("campaign did not solve n=10 in time")
-}
-
-// staticArmRunners checks a heartbeat response that assigns every
-// shard of spec against the static arm table want, and builds each
-// shard's runner exactly as a worker would.
-func staticArmRunners(t *testing.T, spec Spec, want []string, phase string, resp HeartbeatResponse) map[int]*ShardRunner {
-	t.Helper()
-	if raw, _ := json.Marshal(resp); strings.Contains(string(raw), "retune") {
-		t.Fatalf("%s: response steers running shards: %s", phase, raw)
-	}
-	if len(resp.Assign) != spec.Shards {
-		t.Fatalf("%s: got %d assignments, want %d", phase, len(resp.Assign), spec.Shards)
-	}
-	out := make(map[int]*ShardRunner)
-	for _, asg := range resp.Assign {
-		r, err := NewShardRunner(asg.Spec, asg.Shard, asg.Resume)
-		if err != nil {
-			t.Fatalf("%s: shard %d: %v", phase, asg.Shard, err)
-		}
-		if r.method != want[asg.Shard] {
-			t.Fatalf("%s: shard %d runs arm %q, want %q", phase, asg.Shard, r.method, want[asg.Shard])
-		}
-		out[asg.Shard] = r
-	}
-	return out
-}
-
-// reportOtherArm walks one epoch of every runner and returns checkpoints
-// that claim the next arm of want instead of the shard's own, as a
-// coordinator that steered shards between arms would have stored them.
-func reportOtherArm(t *testing.T, runners map[int]*ShardRunner, want []string) []Checkpoint {
-	t.Helper()
-	var cps []Checkpoint
-	for s := 0; s < len(runners); s++ {
-		cp, sol, err := runners[s].RunEpoch(context.Background())
-		if err != nil || sol != nil {
-			t.Fatalf("shard %d epoch: sol=%+v err=%v", s, sol, err)
-		}
-		if cp.Method != want[s] {
-			t.Fatalf("shard %d checkpoint records arm %q, want %q", s, cp.Method, want[s])
-		}
-		cp.Method = want[(s+1)%len(want)]
-		cps = append(cps, cp)
-	}
-	return cps
-}
-
-// TestCoordinatorStaticArms: Arms is a static portfolio — shard s runs
-// Arms[s % len(Arms)] on its first assignment and on reassignment after
-// a lease expiry, whatever arm its resume checkpoint records, and no
-// heartbeat response steers a running shard.
-func TestCoordinatorStaticArms(t *testing.T) {
-	clock := newFakeClock()
-	coord, _ := newTestCoordinator(t, t.TempDir(), clock)
-	spec, err := coord.Create(Spec{
-		RunSpec: "costas n=16", Shards: 3, Walkers: 1, SnapshotIters: 64,
-		Arms: []string{"adaptive", "tabu"},
-	})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	want := []string{"adaptive", "tabu", "adaptive"}
-
-	first := staticArmRunners(t, spec, want, "first assignment", heartbeat(t, coord, HeartbeatRequest{WorkerID: "w1", Capacity: 3}))
-	running := []ShardRef{{spec.ID, 0}, {spec.ID, 1}, {spec.ID, 2}}
-	cps := reportOtherArm(t, first, want)
-	resp := heartbeat(t, coord, HeartbeatRequest{WorkerID: "w1", Capacity: 3, Running: running, Checkpoints: cps})
-	if len(resp.Assign) != 0 || len(resp.Cancel) != 0 {
-		t.Fatalf("steady-state heartbeat changed assignments: %+v", resp)
-	}
-
-	clock.Advance(2 * time.Second)
-	resumed := staticArmRunners(t, spec, want, "reassignment", heartbeat(t, coord, HeartbeatRequest{WorkerID: "w2", Capacity: 3}))
-	for s, r := range resumed {
-		if r.Epoch() != 1 {
-			t.Fatalf("shard %d reassigned at epoch %d, want its checkpoint's epoch 1", s, r.Epoch())
-		}
-		cp, sol, err := r.RunEpoch(context.Background())
-		if err != nil || sol != nil {
-			t.Fatalf("shard %d resumed epoch: sol=%+v err=%v", s, sol, err)
-		}
-		if cp.Method != want[s] {
-			t.Fatalf("shard %d resumed on arm %q, want its static arm %q", s, cp.Method, want[s])
-		}
-	}
-}
-
-// TestCoordinatorStaticArmsSurviveRestart: a restarted coordinator hands
-// every shard its static arm again, resuming from the stored checkpoint
-// whatever arm that checkpoint records.
-func TestCoordinatorStaticArmsSurviveRestart(t *testing.T) {
-	dir := t.TempDir()
-	clock := newFakeClock()
-	coord1, store1 := newTestCoordinator(t, dir, clock)
-	spec, err := coord1.Create(Spec{
-		RunSpec: "costas n=16", Shards: 2, Walkers: 1, SnapshotIters: 64,
-		Arms: []string{"adaptive", "tabu"},
-	})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	want := []string{"adaptive", "tabu"}
-
-	first := staticArmRunners(t, spec, want, "first assignment", heartbeat(t, coord1, HeartbeatRequest{WorkerID: "w1", Capacity: 2}))
-	heartbeat(t, coord1, HeartbeatRequest{
-		WorkerID: "w1", Capacity: 2,
-		Running:     []ShardRef{{spec.ID, 0}, {spec.ID, 1}},
-		Checkpoints: reportOtherArm(t, first, want),
-	})
-	store1.Close()
-
-	coord2, _ := newTestCoordinator(t, dir, clock)
-	resumed := staticArmRunners(t, spec, want, "restarted coordinator", heartbeat(t, coord2, HeartbeatRequest{WorkerID: "w2", Capacity: 2}))
-	for s, r := range resumed {
-		if r.Epoch() != 1 {
-			t.Fatalf("shard %d resumed at epoch %d after restart, want its checkpoint's epoch 1", s, r.Epoch())
-		}
-	}
 }

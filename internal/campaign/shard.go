@@ -38,11 +38,10 @@ import (
 // steps a quantum, then engine 1, …), so the winning (round, walker)
 // pair — and thus the reported Solution — is deterministic too.
 type ShardRunner struct {
-	spec   Spec
-	shard  int
-	method string // the shard's arm of Spec.Arms ("" = RunSpec's own method)
-	inst   registry.Instance
-	cfg    walk.Config
+	spec  Spec
+	shard int
+	inst  registry.Instance
+	cfg   walk.Config
 
 	engines []csp.Restartable
 	base    []int64 // cumulative iterations per walker at epoch start
@@ -51,16 +50,9 @@ type ShardRunner struct {
 
 // NewShardRunner builds shard's runner, resuming from cp when non-nil
 // (cp must be this shard's checkpoint) and starting fresh otherwise.
-// For an Arms campaign the shard's engines come from its static arm,
-// Arms[shard % len(Arms)], instead of the run spec's method; the arm is
-// a function of (spec, shard) alone, so cp.Method is only a record.
 func NewShardRunner(spec Spec, shard int, cp *Checkpoint) (*ShardRunner, error) {
 	if shard < 0 || shard >= spec.Shards {
 		return nil, fmt.Errorf("campaign: shard %d out of range [0,%d)", shard, spec.Shards)
-	}
-	method := ""
-	if len(spec.Arms) > 0 {
-		method = spec.Arms[shard%len(spec.Arms)]
 	}
 	inst, opts, err := core.ParseRunSpec(spec.RunSpec, spec.specOptions())
 	if err != nil {
@@ -69,10 +61,6 @@ func NewShardRunner(spec Spec, shard int, cp *Checkpoint) (*ShardRunner, error) 
 	if opts.MaxIterations != 0 {
 		return nil, fmt.Errorf("campaign: run spec %q sets maxiter — campaigns run until solved, cancelled or past deadline", spec.RunSpec)
 	}
-	if method != "" {
-		opts.Method = method
-		opts.Portfolio = nil
-	}
 	cfg, err := core.WalkConfigFor(inst, opts)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
@@ -80,16 +68,15 @@ func NewShardRunner(spec Spec, shard int, cp *Checkpoint) (*ShardRunner, error) 
 	if cfg.Allocator != nil {
 		// Racing reallocates walkers INSIDE one scheduler run; a campaign
 		// shard is driven engine-by-engine here and would silently ignore
-		// the allocator. Arms is the campaign-level method portfolio.
-		return nil, fmt.Errorf("campaign: method=racing is not valid in a campaign run spec — spread methods over shards with Spec.Arms instead")
+		// the allocator.
+		return nil, fmt.Errorf("campaign: method=racing is not valid in a campaign run spec — mix methods over the campaign's walkers with method=portfolio instead")
 	}
 	r := &ShardRunner{
-		spec:   spec,
-		shard:  shard,
-		method: method,
-		inst:   inst,
-		cfg:    cfg,
-		base:   make([]int64, spec.Walkers),
+		spec:  spec,
+		shard: shard,
+		inst:  inst,
+		cfg:   cfg,
+		base:  make([]int64, spec.Walkers),
 	}
 	if cp != nil {
 		if cp.Shard != shard {
@@ -189,7 +176,6 @@ func (r *ShardRunner) checkpoint() Checkpoint {
 		CampaignID: r.spec.ID,
 		Shard:      r.shard,
 		Epoch:      r.epoch,
-		Method:     r.method,
 		BestCost:   -1,
 		Walkers:    make([]WalkerState, len(r.engines)),
 		Taken:      time.Now().UTC(),
@@ -229,7 +215,6 @@ func (r *ShardRunner) solution(i int) *Solution {
 		Shard:      r.shard,
 		Walker:     r.shard*r.spec.Walkers + i,
 		Epoch:      r.epoch,
-		Method:     r.method,
 		Iterations: total,
 		Config:     cfg,
 		Found:      time.Now().UTC(),

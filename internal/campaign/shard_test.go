@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,66 +191,108 @@ func TestSpecRejectsUnknownModel(t *testing.T) {
 	}
 }
 
-// TestSpecRejectsArmsWithoutShards: shard s runs Arms[s % len(Arms)], so
-// an arm indexed at or past Shards would never run. Normalize rejects
-// such a spec; one arm per shard, duplicates and unbuildable arms are
-// checked too.
-func TestSpecRejectsArmsWithoutShards(t *testing.T) {
-	arms := []string{"adaptive", "tabu", "hillclimb"}
-	if _, err := (Spec{RunSpec: "costas n=12", Shards: 2, Arms: arms}).Normalize(); err == nil {
-		t.Fatal("Normalize accepted 3 arms on 2 shards")
+// TestShardRunnerPortfolioArms: method=portfolio is how a campaign
+// mixes methods. The campaign's global walker k (shard·Walkers + i) runs
+// portfolio arm k mod 2 in every shard, and a shard of mixed engines
+// resumes from a checkpoint bit-identically.
+func TestShardRunnerPortfolioArms(t *testing.T) {
+	spec, err := Spec{
+		ID:            "mix",
+		RunSpec:       "costas n=12 method=portfolio portfolio=adaptive,tabu",
+		Shards:        2,
+		Walkers:       3,
+		SnapshotIters: 16, // three epochs stay short of a solve at n=12
+		MasterSeed:    5,
+	}.Normalize()
+	if err != nil {
+		t.Fatalf("Normalize: %v", err)
 	}
-	if _, err := (Spec{RunSpec: "costas n=12", Arms: arms[:2]}).Normalize(); err == nil {
-		t.Fatal("Normalize accepted 2 arms on the default single shard")
+	engineType := func(method string) string {
+		t.Helper()
+		r, err := NewShardRunner(Spec{ID: method, RunSpec: "costas n=12 method=" + method,
+			Shards: 1, Walkers: 1, SnapshotIters: 64, MasterSeed: 1}, 0, nil)
+		if err != nil {
+			t.Fatalf("%s runner: %v", method, err)
+		}
+		return fmt.Sprintf("%T", r.engines[0])
 	}
-	if _, err := (Spec{RunSpec: "costas n=12", Shards: 3, Arms: arms}).Normalize(); err != nil {
-		t.Fatalf("Normalize rejected one arm per shard: %v", err)
+	arms := []string{engineType("adaptive"), engineType("tabu")}
+	if arms[0] == arms[1] {
+		t.Fatalf("adaptive and tabu build the same engine type %s", arms[0])
 	}
-	if _, err := (Spec{RunSpec: "costas n=12", Shards: 2, Arms: []string{"tabu", "tabu"}}).Normalize(); err == nil {
-		t.Fatal("Normalize accepted a duplicate arm")
-	}
-	if _, err := (Spec{RunSpec: "costas n=12", Shards: 2, Arms: []string{"tabu", "racing"}}).Normalize(); err == nil {
-		t.Fatal("Normalize accepted an arm that cannot run in a shard")
-	}
-}
 
-// TestShardRunnerMethodArm: in an Arms campaign shard s walks
-// Arms[s % len(Arms)] with that arm's engines and stamps the arm into
-// every checkpoint; a resume keeps the static arm even when the
-// checkpoint records another one.
-func TestShardRunnerMethodArm(t *testing.T) {
-	spec := Spec{ID: "arm", RunSpec: "costas n=16", Shards: 3, Walkers: 2,
-		SnapshotIters: 128, MasterSeed: 9, Arms: []string{"adaptive", "tabu"}}
-	for shard, want := range []string{"adaptive", "tabu", "adaptive"} {
-		r, err := NewShardRunner(spec, shard, nil)
+	for shard := 0; shard < spec.Shards; shard++ {
+		live, err := NewShardRunner(spec, shard, nil)
 		if err != nil {
 			t.Fatalf("shard %d: %v", shard, err)
 		}
-		cp, sol, err := r.RunEpoch(context.Background())
-		if err != nil || sol != nil {
-			t.Fatalf("shard %d epoch: cp=%+v sol=%+v err=%v", shard, cp, sol, err)
-		}
-		if cp.Method != want {
-			t.Fatalf("shard %d checkpoint method = %q, want %q", shard, cp.Method, want)
+		for i, e := range live.engines {
+			k := shard*spec.Walkers + i
+			if got := fmt.Sprintf("%T", e); got != arms[k%2] {
+				t.Fatalf("shard %d walker %d (global %d) runs %s, want arm %d (%s)", shard, i, k, got, k%2, arms[k%2])
+			}
 		}
 
-		cp.Method = "hillclimb"
-		resumed, err := NewShardRunner(spec, shard, &cp)
+		// Up to three epochs, stopping at a solve: n=12 is easy, so the
+		// resumed runner must reproduce a solution as well as checkpoints.
+		live1 := runEpochOrFatal(t, live)
+		var want []epochOutcome
+		for len(want) < 2 {
+			o := runEpoch(t, live)
+			want = append(want, o)
+			if o.Sol != nil {
+				break
+			}
+		}
+		resumed, err := NewShardRunner(spec, shard, &live1)
 		if err != nil {
 			t.Fatalf("shard %d resume: %v", shard, err)
 		}
-		if resumed.method != want {
-			t.Fatalf("shard %d resumed on arm %q, want its static arm %q", shard, resumed.method, want)
+		for i, e := range resumed.engines {
+			if got, w := fmt.Sprintf("%T", e), fmt.Sprintf("%T", live.engines[i]); got != w {
+				t.Fatalf("shard %d walker %d resumed as %s, want %s", shard, i, got, w)
+			}
+		}
+		for e, w := range want {
+			if got := runEpoch(t, resumed); !reflect.DeepEqual(got, w) {
+				t.Errorf("shard %d resumed epoch %d diverged:\n got  %+v\n want %+v", shard, e+2, got, w)
+			}
 		}
 	}
 }
 
+// epochOutcome is one RunEpoch result with its wall-clock stamps zeroed.
+type epochOutcome struct {
+	CP  Checkpoint
+	Sol *Solution
+}
+
+func runEpoch(t *testing.T, r *ShardRunner) epochOutcome {
+	t.Helper()
+	cp, sol, err := r.RunEpoch(context.Background())
+	if err != nil {
+		t.Fatalf("RunEpoch: %v", err)
+	}
+	if sol != nil {
+		sol.Found = time.Time{}
+	}
+	return epochOutcome{CP: stripTimes(cp), Sol: sol}
+}
+
 // TestShardRunnerRejectsRacing: method=racing cannot run inside a
-// campaign shard (Arms is the campaign-level method portfolio).
+// campaign shard, at create time (Normalize) or on a worker; the error
+// points to method=portfolio, the way to mix methods in a campaign.
 func TestShardRunnerRejectsRacing(t *testing.T) {
 	spec := Spec{ID: "bad", RunSpec: "costas n=16 method=racing", Shards: 1,
 		Walkers: 2, SnapshotIters: 128, MasterSeed: 1}
-	if _, err := NewShardRunner(spec, 0, nil); err == nil {
+	_, err := NewShardRunner(spec, 0, nil)
+	if err == nil {
 		t.Fatal("racing run spec accepted by a campaign shard runner")
+	}
+	if !strings.Contains(err.Error(), "method=portfolio") {
+		t.Fatalf("racing rejection %q does not name method=portfolio", err)
+	}
+	if _, err := spec.Normalize(); err == nil {
+		t.Fatal("Normalize accepted a racing run spec")
 	}
 }

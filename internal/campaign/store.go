@@ -70,18 +70,11 @@ type StoreOptions struct {
 	// log is not recompacted on every append). 0 disables
 	// auto-compaction; Compact can still be called explicitly.
 	CompactBytes int64
-	// CompactChunk is how many records are buffered between fsyncs
-	// while writing a compacted log — the bounded-memory chunk size.
-	// 0 means 256.
-	CompactChunk int
 }
 
-func (o StoreOptions) withDefaults() StoreOptions {
-	if o.CompactChunk <= 0 {
-		o.CompactChunk = 256
-	}
-	return o
-}
+// compactChunk is how many records are buffered between fsyncs while
+// writing a compacted log — the bounded-memory chunk size.
+const compactChunk = 256
 
 // logFile is one campaign's open append handle plus the bookkeeping the
 // rollback path needs.
@@ -143,7 +136,7 @@ func OpenFS(dir string, fsys vfs.FS, opts StoreOptions) (*Store, error) {
 	s := &Store{
 		dir:       dir,
 		fs:        fsys,
-		opts:      opts.withDefaults(),
+		opts:      opts,
 		files:     make(map[string]*logFile),
 		views:     make(map[string]*view),
 		compacted: make(map[string]int64),
@@ -169,9 +162,6 @@ func OpenFS(dir string, fsys vfs.FS, opts StoreOptions) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Close closes every open log file. The store must not be used after.
 func (s *Store) Close() error {
@@ -435,7 +425,7 @@ func (s *Store) LogSize(id string) (int64, error) {
 // dropped, collapsing the stored history to the retained records.
 //
 // Crash safety is write-new/fsync/rename: records stream into a
-// scratch file in bounded chunks (an fsync every CompactChunk records,
+// scratch file in bounded chunks (an fsync every compactChunk records,
 // so memory and dirty-page footprint stay flat no matter the shard
 // count), the scratch is fsynced and atomically renamed over the live
 // log, and the directory is fsynced. A crash at any instant leaves
@@ -532,7 +522,7 @@ func (s *Store) compactLocked(id string) error {
 		size += int64(len(line))
 		// Chunked flush: bound the dirty buffer regardless of how many
 		// shards the campaign has.
-		if (i+1)%s.opts.CompactChunk == 0 {
+		if (i+1)%compactChunk == 0 {
 			if err := w.Flush(); err != nil {
 				return fail(err)
 			}
@@ -682,7 +672,6 @@ func (s *Store) Status(id string) (Status, bool) {
 			row.Epoch = cp.Epoch
 			row.Iterations = cp.Iterations
 			row.BestCost = cp.BestCost
-			row.Method = cp.Method
 			row.Updated = cp.Taken
 			st.Iterations += cp.Iterations
 			if st.BestCost < 0 || cp.BestCost < st.BestCost {

@@ -61,11 +61,6 @@ type BatchOptions struct {
 	// equivalent). 0 means master seed 1.
 	MasterSeed uint64
 
-	// Registry resolves BatchJob.Spec jobs; nil means registry.Default.
-	// Servers with their own catalogue set this so batch specs resolve
-	// against the same registry that validated them.
-	Registry *registry.Registry
-
 	// Backend routes the whole batch through an execution backend instead
 	// of the in-process worker pool; nil means in-process. A backend.Pool
 	// here shards the jobs across solverd nodes with per-job seeds still
@@ -117,16 +112,12 @@ func SolveBatch(ctx context.Context, jobs []BatchJob, opts BatchOptions) (BatchR
 		return BatchResult{}, fmt.Errorf("core: nil batch job slice")
 	}
 	if b := opts.Backend; b != nil {
-		reg := opts.Registry
-		if reg == nil {
-			reg = registry.Default
-		}
 		opts.Backend = nil
 		res, err := b.SolveBatch(ctx, jobs, opts)
 		if err != nil {
 			return res, err
 		}
-		verifyDelegatedBatch(&res, jobs, reg)
+		verifyDelegatedBatch(&res, jobs)
 		return res, nil
 	}
 	start := time.Now()
@@ -149,7 +140,7 @@ func SolveBatch(ctx context.Context, jobs []BatchJob, opts BatchOptions) (BatchR
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				res.Jobs[idx] = runBatchJob(ctx, jobs[idx], idx, seeds[idx], opts.Registry)
+				res.Jobs[idx] = runBatchJob(ctx, jobs[idx], idx, seeds[idx])
 			}
 		}()
 	}
@@ -177,7 +168,7 @@ func SolveBatch(ctx context.Context, jobs []BatchJob, opts BatchOptions) (BatchR
 // be weaker — a drifted worker binary returning a wrong array marked
 // solved is flipped to a per-job internal error here. Stats are
 // re-summarized when anything flips.
-func verifyDelegatedBatch(res *BatchResult, jobs []BatchJob, reg *registry.Registry) {
+func verifyDelegatedBatch(res *BatchResult, jobs []BatchJob) {
 	changed := false
 	for i := range res.Jobs {
 		jr := &res.Jobs[i]
@@ -188,7 +179,7 @@ func verifyDelegatedBatch(res *BatchResult, jobs []BatchJob, reg *registry.Regis
 		if err != nil {
 			continue // unshippable jobs already failed per job at the backend
 		}
-		inst, _, err := ParseRunSpecIn(reg, spec, jobs[i].Options)
+		inst, _, err := ParseRunSpec(spec, jobs[i].Options)
 		if err != nil {
 			continue // unresolvable specs likewise surfaced per job
 		}
@@ -262,28 +253,25 @@ func (j BatchJob) ShipSpec() (string, error) {
 // and its options (the spec's solver-option keys applied over
 // job.Options). A job without a Spec resolves to a nil instance and its
 // own options.
-func resolveBatchJob(job BatchJob, reg *registry.Registry) (*registry.Instance, Options, error) {
+func resolveBatchJob(job BatchJob) (*registry.Instance, Options, error) {
 	if job.Spec == "" {
 		return nil, job.Options, nil
 	}
 	if job.NewModel != nil {
 		return nil, job.Options, fmt.Errorf("core: batch job sets both Spec and NewModel")
 	}
-	if reg == nil {
-		reg = registry.Default
-	}
-	inst, opts, err := ParseRunSpecIn(reg, job.Spec, job.Options)
+	inst, opts, err := ParseRunSpec(job.Spec, job.Options)
 	return &inst, opts, err
 }
 
 // runBatchJob executes one job: a spec job through SolveInstance, a
 // NewModel job through SolveModel and a plain CAP job through Solve.
-func runBatchJob(ctx context.Context, job BatchJob, idx int, derivedSeed uint64, reg *registry.Registry) JobResult {
+func runBatchJob(ctx context.Context, job BatchJob, idx int, derivedSeed uint64) JobResult {
 	if err := ctx.Err(); err != nil {
 		return JobResult{Job: idx, Err: err}
 	}
 
-	inst, opts, err := resolveBatchJob(job, reg)
+	inst, opts, err := resolveBatchJob(job)
 	if err != nil {
 		return JobResult{Job: idx, Err: err}
 	}

@@ -455,12 +455,6 @@ func Solve(ctx context.Context, opts Options) (Result, error) {
 	return res, nil
 }
 
-// SolveSequential is shorthand for a single-walker Solve with the given
-// order and seed.
-func SolveSequential(n int, seed uint64) (Result, error) {
-	return Solve(context.Background(), Options{N: n, Seed: seed})
-}
-
 // Verify reports whether perm is a Costas array (a re-export of the model
 // package's verifier so facade users need only one import).
 func Verify(perm []int) bool { return costas.IsCostas(perm) }

@@ -12,7 +12,7 @@ import (
 
 func TestSolveSequential(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 10, 13} {
-		res, err := SolveSequential(n, 7)
+		res, err := Solve(context.Background(), Options{N: n, Seed: 7})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -87,8 +87,8 @@ func TestSolveCustomParamsAndModel(t *testing.T) {
 }
 
 func TestSeedZeroMeansOne(t *testing.T) {
-	a, _ := SolveSequential(11, 0)
-	b, _ := SolveSequential(11, 1)
+	a, _ := Solve(context.Background(), Options{N: 11, Seed: 0})
+	b, _ := Solve(context.Background(), Options{N: 11, Seed: 1})
 	if a.Iterations != b.Iterations {
 		t.Fatalf("seed 0 (%d iters) should behave as seed 1 (%d iters)", a.Iterations, b.Iterations)
 	}

@@ -56,18 +56,11 @@ func OptionKeys() []string {
 // keys rejected). base.N and base.Model are ignored — the instance comes
 // entirely from the spec.
 func ParseRunSpec(spec string, base Options) (registry.Instance, Options, error) {
-	return ParseRunSpecIn(registry.Default, spec, base)
-}
-
-// ParseRunSpecIn is ParseRunSpec resolving against an explicit registry
-// (a service configured with its own catalogue must not fall back to the
-// process-wide Default).
-func ParseRunSpecIn(reg *registry.Registry, spec string, base Options) (registry.Instance, Options, error) {
 	mspec, opts, err := SplitRunSpec(spec, base)
 	if err != nil {
 		return registry.Instance{}, Options{}, err
 	}
-	inst, err := reg.Build(mspec)
+	inst, err := registry.Default.Build(mspec)
 	if err != nil {
 		return registry.Instance{}, Options{}, err
 	}

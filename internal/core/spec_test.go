@@ -218,43 +218,6 @@ func TestOptionKeysAreReserved(t *testing.T) {
 	}
 }
 
-// TestBatchCustomRegistry: BatchOptions.Registry routes spec jobs through
-// a caller-supplied catalogue instead of the process-wide Default.
-func TestBatchCustomRegistry(t *testing.T) {
-	reg := registry.New()
-	if err := reg.Register(registry.Entry{
-		Name:        "miniqueens",
-		Description: "nqueens under a private name",
-		Params:      []registry.Param{{Name: "n", Description: "size", Default: 8, Min: 4}},
-		Build: func(p map[string]int) (func() csp.Model, error) {
-			n := p["n"]
-			return func() csp.Model { return nqueens.New(n) }, nil
-		},
-		Valid: func(p map[string]int, cfg []int) bool { return nqueens.Valid(cfg) },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := SolveBatch(context.Background(),
-		[]BatchJob{{Spec: "miniqueens n=16"}},
-		BatchOptions{MasterSeed: 2, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs[0].Err != nil || !res.Jobs[0].Result.Solved {
-		t.Fatalf("custom-registry job failed: %+v", res.Jobs[0])
-	}
-	// Without the registry the same spec must fail — proving resolution
-	// really went through the custom catalogue above.
-	res, err = SolveBatch(context.Background(),
-		[]BatchJob{{Spec: "miniqueens n=16"}}, BatchOptions{MasterSeed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs[0].Err == nil {
-		t.Fatal("unknown-model spec resolved against the Default registry")
-	}
-}
-
 func TestBatchSpecErrorsAreConfined(t *testing.T) {
 	jobs := []BatchJob{
 		{Spec: "nosuchmodel n=4"},

@@ -78,12 +78,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 //
 // It uses Lemire's multiply-shift rejection method, which avoids the modulo
@@ -145,31 +139,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Jump advances the generator by 2^128 steps, equivalent to 2^128 calls of
-// Uint64. Distinct walkers derived by Jump are guaranteed to use
-// non-overlapping subsequences — an alternative to chaotic seeding when
-// strict stream disjointness is wanted.
-func (r *RNG) Jump() {
-	jump := [4]uint64{0x180EC6D33CFD0ABA, 0xD5A61266F0C9392C, 0xA9582618E03FC9AA, 0x39ABDC4529B1661C}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				s0 ^= r.s0
-				s1 ^= r.s1
-				s2 ^= r.s2
-				s3 ^= r.s3
-			}
-			r.Uint64()
-		}
-	}
-	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
-}
-
-// Fork returns a new generator seeded from this one's stream. The child is
-// decorrelated from the parent by SplitMix64 mixing.
-func (r *RNG) Fork() *RNG {
-	return New(r.Uint64())
 }

@@ -164,35 +164,6 @@ func TestPermUniform(t *testing.T) {
 	}
 }
 
-func TestJumpDisjointStreams(t *testing.T) {
-	a := New(42)
-	b := New(42)
-	b.Jump()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same != 0 {
-		t.Fatalf("jumped stream collided with parent %d times", same)
-	}
-}
-
-func TestForkDecorrelated(t *testing.T) {
-	parent := New(1)
-	child := parent.Fork()
-	var matches int
-	for i := 0; i < 1000; i++ {
-		if parent.Uint64() == child.Uint64() {
-			matches++
-		}
-	}
-	if matches > 0 {
-		t.Fatalf("forked stream matched parent %d times", matches)
-	}
-}
-
 func TestSplitMix64KnownVector(t *testing.T) {
 	// Reference values for seed 1234567 from the public-domain SplitMix64.
 	s := uint64(1234567)

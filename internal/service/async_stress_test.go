@@ -17,7 +17,8 @@ import (
 )
 
 func TestConcurrentAsyncBatchesEvictionAndDrain(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxStoredJobs: 4, Workers: 4})
+	s, ts := newTestServer(t, Config{Workers: 4})
+	capJobStore(s, 4)
 
 	const clients = 8
 	const batchesPerClient = 3
@@ -85,7 +86,7 @@ func TestConcurrentAsyncBatchesEvictionAndDrain(t *testing.T) {
 		}
 	}
 	// The store cap guarantees eviction happened: more admissions than
-	// MaxStoredJobs means some finished jobs had to be dropped.
+	// the store cap means some finished jobs had to be dropped.
 	if stored > 4 {
 		t.Fatalf("store holds %d jobs, cap is 4", stored)
 	}

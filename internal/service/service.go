@@ -76,15 +76,9 @@ type Config struct {
 	MaxWalkers int
 	// MaxBatchJobs caps the job count of one batch request. 0 means 1024.
 	MaxBatchJobs int
-	// MaxStoredJobs caps the async job store; finished jobs are evicted
-	// oldest-first past the cap, and new async work is refused with 429
-	// when the store is full of unfinished jobs. 0 means 1024.
-	MaxStoredJobs int
 	// DefaultTimeout bounds any request that does not set timeout_ms;
 	// 0 means no implicit deadline.
 	DefaultTimeout time.Duration
-	// Registry resolves model specs; nil means registry.Default.
-	Registry *registry.Registry
 	// Backend routes solves and batches through an execution backend
 	// instead of the in-process run layer — the coordinator mode: a
 	// solverd configured with a backend.Pool of Remote members fronts a
@@ -137,14 +131,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchJobs <= 0 {
 		c.MaxBatchJobs = 1024
 	}
-	if c.MaxStoredJobs <= 0 {
-		c.MaxStoredJobs = 1024
-	}
 	if c.MaxQueueDepth == 0 {
 		c.MaxQueueDepth = 16 * c.Workers
-	}
-	if c.Registry == nil {
-		c.Registry = registry.Default
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = servecache.DefaultCapacity
@@ -280,6 +268,11 @@ type job struct {
 	seq    int // admission order, for oldest-first eviction
 }
 
+// storedJobsCap caps the async job store: finished jobs are evicted
+// oldest-first past the cap, and new async work is refused with 429
+// when the store is full of unfinished jobs.
+const storedJobsCap = 1024
+
 // Server is the HTTP solver service. Create with New, expose with
 // Handler, stop with Shutdown.
 type Server struct {
@@ -302,15 +295,16 @@ type Server struct {
 	shedInter   atomic.Int64 // interactive requests refused by queue-depth shedding
 	latency     map[string]*latencyHist
 
-	mu         sync.Mutex
-	jobs       map[string]*job
-	nextID     int
-	inflight   int // requests currently solving (sync + async)
-	started    time.Time
-	perModel   map[string]int64 // completed solves per model name
-	solves     int64            // completed solve operations (batch jobs count singly)
-	iterations int64            // Σ TotalIterations over completed solves
-	perMethod  map[string]*methodCounters
+	mu            sync.Mutex
+	jobs          map[string]*job
+	maxStoredJobs int // async job store cap; tests lower it
+	nextID        int
+	inflight      int // requests currently solving (sync + async)
+	started       time.Time
+	perModel      map[string]int64 // completed solves per model name
+	solves        int64            // completed solve operations (batch jobs count singly)
+	iterations    int64            // Σ TotalIterations over completed solves
+	perMethod     map[string]*methodCounters
 }
 
 // methodCounters accumulates per-engine-method work across completed
@@ -328,16 +322,17 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:       cfg,
-		mux:       http.NewServeMux(),
-		sem:       newPrioSem(cfg.Workers),
-		baseCtx:   ctx,
-		cancel:    cancel,
-		jobs:      map[string]*job{},
-		started:   time.Now(),
-		perModel:  map[string]int64{},
-		perMethod: map[string]*methodCounters{},
-		latency:   map[string]*latencyHist{},
+		cfg:           cfg,
+		mux:           http.NewServeMux(),
+		sem:           newPrioSem(cfg.Workers),
+		baseCtx:       ctx,
+		cancel:        cancel,
+		jobs:          map[string]*job{},
+		maxStoredJobs: storedJobsCap,
+		started:       time.Now(),
+		perModel:      map[string]int64{},
+		perMethod:     map[string]*methodCounters{},
+		latency:       map[string]*latencyHist{},
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = servecache.New(cfg.CacheSize)
@@ -424,7 +419,7 @@ func decodeStrict(r *http.Request, v any) error {
 // resolve validates one model+options pair into a registry instance and
 // core options. All failures are client errors.
 func (s *Server) resolve(spec registry.Spec, o OptionsJSON) (registry.Instance, core.Options, error) {
-	inst, err := s.cfg.Registry.Build(spec)
+	inst, err := registry.Default.Build(spec)
 	if err != nil {
 		return registry.Instance{}, core.Options{}, clientErr("%v", err)
 	}
@@ -841,8 +836,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	batchOpts := core.BatchOptions{
 		Concurrency: conc,
 		MasterSeed:  req.MasterSeed,
-		Registry:    s.cfg.Registry, // specs must resolve against the catalogue that validated them
-		Backend:     s.cfg.Backend,  // coordinator mode: the whole batch shards across the fleet
+		Backend:     s.cfg.Backend, // coordinator mode: the whole batch shards across the fleet
 	}
 
 	run := func(ctx context.Context) (BatchResponse, error) {
@@ -945,7 +939,7 @@ func (s *Server) admitJob(kind string) (string, error) {
 // evictLocked makes room in the job store, dropping finished jobs
 // oldest-first. It reports whether a slot is available.
 func (s *Server) evictLocked() bool {
-	for len(s.jobs) >= s.cfg.MaxStoredJobs {
+	for len(s.jobs) >= s.maxStoredJobs {
 		oldest := ""
 		oldestSeq := 0
 		for id, j := range s.jobs {
@@ -1040,7 +1034,7 @@ type ModelsResponse struct {
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	var resp ModelsResponse
-	for _, e := range s.cfg.Registry.All() {
+	for _, e := range registry.Default.All() {
 		params := map[string]int{}
 		for _, p := range e.Params {
 			params[p.Name] = p.Default
@@ -1130,7 +1124,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"jobs":        stored,
 		"queue_depth": s.sem.depth(),
 		"workers":     s.cfg.Workers,
-		"models":      len(s.cfg.Registry.Names()),
+		"models":      len(registry.Default.Names()),
 		"uptime_sec":  time.Since(s.started).Seconds(),
 	}
 	status := http.StatusOK

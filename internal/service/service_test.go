@@ -30,6 +30,14 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// capJobStore lowers s's async job-store cap (storedJobsCap otherwise)
+// so a test can fill it.
+func capJobStore(s *Server, n int) {
+	s.mu.Lock()
+	s.maxStoredJobs = n
+	s.mu.Unlock()
+}
+
 // postJSON posts body (marshalled) and decodes the response into out,
 // returning the status code.
 func postJSON(t testing.TB, url string, body any, out any) int {
@@ -429,7 +437,8 @@ func tryGet(url string, out any) (int, error) {
 // -race CI pass runs this to certify the store and semaphore. The walker
 // cap and worker pool stay small so the test exercises queueing too.
 func TestConcurrentRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, MaxStoredJobs: 64})
+	s, ts := newTestServer(t, Config{Workers: 2})
+	capJobStore(s, 64)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -572,48 +581,6 @@ func TestBatchHoldsInnerConcurrencySlots(t *testing.T) {
 	}
 }
 
-// TestCustomRegistryServesSolveAndBatch: a server configured with its own
-// catalogue serves it on both endpoints — batch spec jobs must resolve
-// against the configured registry, not the process-wide default.
-func TestCustomRegistryServesSolveAndBatch(t *testing.T) {
-	reg := registry.New()
-	builtin, err := registry.Lookup("nqueens")
-	if err != nil {
-		t.Fatal(err)
-	}
-	private := *builtin
-	private.Name = "privqueens"
-	if err := reg.Register(private); err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{Registry: reg})
-
-	var solve SolveResponse
-	if code := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
-		Model: registry.Spec{Name: "privqueens", Params: map[string]int{"n": 16}},
-	}, &solve); code != http.StatusOK || !solve.Solved {
-		t.Fatalf("solve on custom registry: code %d, %+v", code, solve)
-	}
-
-	var batch BatchResponse
-	if code := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Jobs: []BatchJobRequest{{Model: registry.Spec{Name: "privqueens", Params: map[string]int{"n": 16}}}},
-	}, &batch); code != http.StatusOK {
-		t.Fatalf("batch on custom registry: code %d", code)
-	}
-	if batch.Stats.Solved != 1 || batch.Stats.Errors != 0 {
-		t.Fatalf("batch stats %+v (jobs %+v)", batch.Stats, batch.Jobs)
-	}
-
-	// The default catalogue must NOT leak through this server.
-	var e map[string]string
-	if code := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
-		Model: registry.Spec{Name: "costas", Params: map[string]int{"n": 10}},
-	}, &e); code != http.StatusBadRequest {
-		t.Fatalf("default-registry model served by custom-registry server (code %d)", code)
-	}
-}
-
 // TestShutdownDrainsAndCancels: Shutdown cancels running async work (the
 // job completes as cancelled) and returns once drained.
 func TestShutdownDrainsAndCancels(t *testing.T) {
@@ -646,7 +613,8 @@ func TestShutdownDrainsAndCancels(t *testing.T) {
 // TestJobStoreEviction: finished jobs are evicted oldest-first at the
 // cap; the store never refuses while done jobs can make room.
 func TestJobStoreEviction(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxStoredJobs: 3})
+	s, ts := newTestServer(t, Config{})
+	capJobStore(s, 3)
 	ids := []string{}
 	for k := 0; k < 5; k++ {
 		var accept map[string]string

@@ -161,11 +161,6 @@ func Speedup(base, t float64) float64 {
 	return base / t
 }
 
-// Efficiency returns the parallel efficiency Speedup/K.
-func Efficiency(base, t float64, k int) float64 {
-	return Speedup(base, t) / float64(k)
-}
-
 // String formats a summary like a paper table row.
 func (sm Summary) String() string {
 	return fmt.Sprintf("n=%d avg=%.3f med=%.3f min=%.3f max=%.3f sd=%.3f",
